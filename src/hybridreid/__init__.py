@@ -25,14 +25,12 @@ from .core import (
 from .clustering import dbscan, pseudo_label
 from .encoder import AdamState, MLPEncoder, adam_step, load_checkpoint, save_checkpoint
 from .evaluation import evaluate_retrieval
-from .loss import cluster_loss, hard_instance_loss, hybrid_loss, softmax_contrastive
+from .loss import cluster_loss, hard_instance_loss, softmax_contrastive
 from .memory import (
     ClusterBank,
     InstanceBank,
     init_cluster_bank,
     init_instance_bank,
-    select_hard_negative,
-    select_hard_positive,
     update_cluster_bank,
     update_instance_bank,
 )
@@ -65,12 +63,9 @@ __all__ = [
     "update_cluster_bank",
     "init_instance_bank",
     "update_instance_bank",
-    "select_hard_positive",
-    "select_hard_negative",
     "softmax_contrastive",
     "cluster_loss",
     "hard_instance_loss",
-    "hybrid_loss",
     "MLPEncoder",
     "AdamState",
     "adam_step",

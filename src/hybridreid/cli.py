@@ -63,13 +63,24 @@ _INT_CONFIG_FIELDS = {
 }
 
 
-def _limit_blas_threads(n: int):
+def _limit_blas_threads(n: int) -> bool:
+    """Cap BLAS at ``n`` threads; False when threadpoolctl is not installed."""
     try:
         import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
     except ImportError:
-        pass
+        return False
+    threadpoolctl.threadpool_limits(limits=n)
+    return True
+
+
+def _pin_blas_for_determinism() -> dict:
+    """Pin BLAS to one thread (a GEMM's summation split may depend on the
+    thread count), warning if it cannot; returns the manifest entry."""
+    pinned = _limit_blas_threads(1)
+    if not pinned:
+        print("warning: threadpoolctl is not installed, so BLAS threads are not pinned; "
+              "--deterministic results may depend on the thread count", file=sys.stderr)
+    return {"blas_threads_pinned": pinned}
 
 
 def _sha256(path) -> str:
@@ -81,7 +92,7 @@ def _sha256(path) -> str:
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, seed, inputs: dict,
-                   outputs: list) -> Path:
+                   outputs: list, extra: dict | None = None) -> Path:
     """Record what a run is about to do; hashing the inputs up front also
     surfaces missing files before any compute happens."""
     manifest = {
@@ -97,6 +108,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed, inputs: dict
         # relative to this manifest's directory, so reruns in a different
         # directory still produce an identical manifest
         "outputs": [os.path.basename(str(p)) for p in outputs],
+        **(extra or {}),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
@@ -226,8 +238,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _merge_config(args)
-    if args.deterministic:
-        _limit_blas_threads(1)
+    pinning = _pin_blas_for_determinism() if args.deterministic else {}
     out_dir = Path(args.out_dir)
     ckpt_path = out_dir / "checkpoint.ckpt"
     metrics_path = out_dir / "metrics.csv"
@@ -237,7 +248,7 @@ def cmd_train(args) -> int:
         inputs["query"] = args.query
         inputs["gallery"] = args.gallery
         outputs.append(out_dir / "eval.json")
-    write_manifest(out_dir, "train", cfg.to_dict(), cfg.seed, inputs, outputs)
+    write_manifest(out_dir, "train", cfg.to_dict(), cfg.seed, inputs, outputs, pinning)
     samples = load_features(args.features)
     model, opt, reports = train(samples, cfg)
     _write_metrics_csv(metrics_path, reports, zero_seconds=args.deterministic)
@@ -307,8 +318,7 @@ def cmd_ablate(args) -> int:
     for mu in args.mu_values:
         if not 0.0 <= mu <= 1.0:
             raise ConfigError(f"mu value {mu} outside [0, 1]")
-    if args.deterministic:
-        _limit_blas_threads(1)
+    pinning = _pin_blas_for_determinism() if args.deterministic else {}
     out_dir = Path(args.out_dir)
     summary_path = out_dir / "summary.csv"
     manifest_cfg = dict(cfg.to_dict(), mu_values=list(args.mu_values),
@@ -316,7 +326,7 @@ def cmd_ablate(args) -> int:
     write_manifest(out_dir, "ablate", manifest_cfg, cfg.seed,
                    inputs={"features": args.features, "query": args.query,
                            "gallery": args.gallery},
-                   outputs=[summary_path])
+                   outputs=[summary_path], extra=pinning)
     payloads = [
         (args.features, args.query, args.gallery, cfg.to_dict(), mu, seed,
          args.deterministic)

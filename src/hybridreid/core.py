@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -80,8 +81,13 @@ class PseudoLabeling:
     def non_outlier_indices(self) -> np.ndarray:
         return np.flatnonzero(self.assignment != OUTLIER)
 
-    def members_of(self, cluster: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == cluster)
+    @cached_property
+    def members(self) -> list:
+        """Each cluster's sample indices in ascending order, from one stable
+        argsort on first use (``assignment`` must not change afterwards)."""
+        order = np.argsort(self.assignment, kind="stable")
+        bounds = np.searchsorted(self.assignment[order], np.arange(self.num_clusters + 1))
+        return [order[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def validate(self):
         a = self.assignment

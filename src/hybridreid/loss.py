@@ -1,7 +1,7 @@
 """Contrastive losses over memory banks and their analytic gradients with
-respect to the query embedding.
+respect to the query embeddings, computed for a whole batch at once.
 
-Gradients flow to the query only; bank entries are fixed state, and hard
+Gradients flow to the queries only; bank entries are fixed state, and hard
 positive/negative selection is a stop-gradient operation.
 """
 
@@ -10,70 +10,72 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .core import NumericError
-from .memory import ClusterBank, InstanceBank, hard_keys
+from .memory import ClusterBank, InstanceBank, _checked_ids, hard_keys
 
 
 @dataclass
 class LossOutput:
-    """Scalar loss value and its gradient w.r.t. the (unit-norm) query."""
+    """Per-row loss values (B,) and their gradients w.r.t. the (unit-norm)
+    B x D queries; row b's loss depends on query row b only."""
 
-    value: float
-    grad_query: np.ndarray
+    values: np.ndarray
+    grad: np.ndarray
 
 
-def softmax_contrastive(query, keys, positive_index: int, tau: float) -> LossOutput:
-    """Softmax cross-entropy over similarity logits ``<query, key_i> / tau``.
-
-    Returns ``-log softmax(logits)[positive_index]`` and its gradient
-    ``(sum_i p_i key_i - key_positive) / tau``. Logits are max-shifted, so
-    the value is finite and >= 0 even at small temperatures.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    keys = np.asarray(keys, dtype=np.float64)
-    m = keys.shape[0]
-    if not 0 <= positive_index < m:
-        raise ValueError(f"positive_index {positive_index} out of range for {m} keys")
+def _softmax_rows(sims, positives, tau: float):
+    """Row-wise ``-log softmax(sims / tau)[positive]`` and the softmax
+    probabilities. Logits are max-shifted, so the values are finite and
+    >= 0 even at small temperatures."""
     if tau <= 0:
         raise ValueError(f"tau must be > 0, got {tau}")
-    logits = keys @ query / tau
+    logits = sims / tau
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite similarity logits")
-    shift = logits.max()
-    exp = np.exp(logits - shift)
-    total = exp.sum()
-    p = exp / total
-    value = float((shift - logits[positive_index]) + np.log(total))
-    grad = (p @ keys - keys[positive_index]) / tau
-    return LossOutput(value=value, grad_query=grad)
+    shift = logits.max(axis=1)
+    exp = np.exp(logits - shift[:, None])
+    total = exp.sum(axis=1)
+    values = (shift - logits[np.arange(logits.shape[0]), positives]) + np.log(total)
+    return values, exp / total[:, None]
 
 
-def cluster_loss(query, bank: ClusterBank, own_cluster: int, tau_c: float) -> LossOutput:
-    """Contrastive loss against all cluster centroids; the query's own
-    centroid is the positive."""
-    bank.read_count += 1
-    return softmax_contrastive(query, bank.centroids, own_cluster, tau_c)
+def softmax_contrastive(queries, keys, positives, tau: float) -> LossOutput:
+    """Softmax cross-entropy of each B x D query row over the logits
+    ``<query_b, key_i> / tau``, with ``keys[positives[b]]`` as the positive.
 
-
-def hard_instance_loss(
-    query, bank: InstanceBank, own_cluster: int, tau_ins: float
-) -> LossOutput:
-    """Contrastive loss over one hard key per cluster.
-
-    The positive is the own-cluster slot least similar to the query; every
-    other cluster contributes its most similar slot as a negative.
+    Gradient row b is ``(sum_i p_bi key_i - key_positive) / tau``.
     """
-    bank.read_count += 1
-    _, keys = hard_keys(query, bank, own_cluster)
-    return softmax_contrastive(query, keys, own_cluster, tau_ins)
+    queries = np.asarray(queries, dtype=np.float64)
+    keys = np.asarray(keys, dtype=np.float64)
+    positives = _checked_ids(positives, keys.shape[0])
+    values, p = _softmax_rows(queries @ keys.T, positives, tau)
+    return LossOutput(values, (p @ keys - keys[positives]) / tau)
 
 
-def hybrid_loss(cls: LossOutput, ins: LossOutput, mu: float) -> LossOutput:
-    """Convex blend ``mu * cls + (1 - mu) * ins`` of value and gradient."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must be in [0, 1], got {mu}")
-    return LossOutput(
-        value=mu * cls.value + (1.0 - mu) * ins.value,
-        grad_query=mu * cls.grad_query + (1.0 - mu) * ins.grad_query,
-    )
+def cluster_loss(batch, bank: ClusterBank, own_clusters, tau_c: float) -> LossOutput:
+    """Contrastive loss of each batch row against all cluster centroids; the
+    row's own centroid is the positive."""
+    return softmax_contrastive(batch, bank.centroids, own_clusters, tau_c)
+
+
+def hard_instance_loss(batch, bank: InstanceBank, own_clusters,
+                       tau_ins: float) -> LossOutput:
+    """Contrastive loss of each batch row over one hard key per cluster.
+
+    The positive is the own-cluster slot least similar to the row; every
+    other cluster contributes its most similar slot as a negative. The
+    logits are the similarities ``hard_keys`` already computed, and the
+    gradient is one sparse (B x C*S) @ (C*S x D) product whose row b holds
+    p_bc at each picked slot, minus 1 at the positive.
+    """
+    picks, sims = hard_keys(batch, bank, own_clusters)
+    own = np.asarray(own_clusters, dtype=np.int64)
+    values, p = _softmax_rows(sims, own, tau_ins)
+    p[np.arange(p.shape[0]), own] -= 1.0
+    c, s, d = bank.slots.shape
+    flat_slots = picks + s * np.arange(c)
+    weights = csr_array((p.ravel(), flat_slots.ravel(), np.arange(0, p.size + 1, c)),
+                        shape=(p.shape[0], c * s))
+    return LossOutput(values, weights @ bank.slots.reshape(c * s, d) / tau_ins)

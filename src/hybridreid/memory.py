@@ -22,7 +22,6 @@ class ClusterBank:
 
     centroids: np.ndarray
     alpha: float
-    read_count: int = 0
 
     @property
     def num_clusters(self) -> int:
@@ -35,7 +34,6 @@ class InstanceBank:
 
     slots: np.ndarray
     cursors: np.ndarray = field(default=None)
-    read_count: int = 0
 
     def __post_init__(self):
         if self.cursors is None:
@@ -50,13 +48,22 @@ class InstanceBank:
         return int(self.slots.shape[1])
 
 
+def _checked_ids(ids, num: int) -> np.ndarray:
+    """``ids`` as int64; ValueError unless every id is in [0, num), because
+    numpy indexing would silently wrap OUTLIER (-1) to the last row."""
+    ids = np.asarray(ids, dtype=np.int64)
+    bad = (ids < 0) | (ids >= num)
+    if np.any(bad):
+        raise ValueError(f"ids outside [0, {num}): {np.unique(ids[bad])}")
+    return ids
+
+
 def init_cluster_bank(emb, labels: PseudoLabeling, alpha: float) -> ClusterBank:
     """Centroid i = normalized mean of cluster i's embeddings; outliers excluded."""
     emb = np.asarray(emb, dtype=np.float64)
     c, d = labels.num_clusters, emb.shape[1]
     centroids = np.zeros((c, d), dtype=np.float64)
-    for i in range(c):
-        members = labels.members_of(i)
+    for i, members in enumerate(labels.members):
         if members.size == 0:
             raise ValueError(f"cluster {i} has no members")
         mean = emb[members].mean(axis=0)
@@ -74,9 +81,7 @@ def update_cluster_bank(bank: ClusterBank, batch_emb, batch_labels):
     no-op, so the stored rows are left bit-identical.
     """
     batch_emb = np.asarray(batch_emb, dtype=np.float64)
-    batch_labels = np.asarray(batch_labels, dtype=np.int64)
-    if np.any((batch_labels < 0) | (batch_labels >= bank.num_clusters)):
-        raise ValueError("batch labels contain invalid cluster ids")
+    batch_labels = _checked_ids(batch_labels, bank.num_clusters)
     if bank.alpha == 1.0:
         return
     for i in np.unique(batch_labels):
@@ -105,8 +110,7 @@ def init_instance_bank(emb, labels: PseudoLabeling, slots: int, rng_seed) -> Ins
     rng = np.random.default_rng(rng_seed)
     c, d = labels.num_clusters, emb.shape[1]
     bank = np.zeros((c, slots, d), dtype=np.float64)
-    for i in range(c):
-        members = labels.members_of(i)
+    for i, members in enumerate(labels.members):
         if members.size == 0:
             raise ValueError(f"cluster {i} has no members")
         idx = rng.choice(members, size=slots, replace=members.size < slots)
@@ -122,9 +126,7 @@ def update_instance_bank(bank: InstanceBank, batch_emb, batch_labels):
     this reduces to slot k <- batch instance k.
     """
     batch_emb = np.asarray(batch_emb, dtype=np.float64)
-    batch_labels = np.asarray(batch_labels, dtype=np.int64)
-    if np.any((batch_labels < 0) | (batch_labels >= bank.num_clusters)):
-        raise ValueError("batch labels contain invalid cluster ids")
+    batch_labels = _checked_ids(batch_labels, bank.num_clusters)
     s = bank.slots_per_cluster
     for i in np.unique(batch_labels):
         rows = np.flatnonzero(batch_labels == i)
@@ -134,26 +136,19 @@ def update_instance_bank(bank: InstanceBank, batch_emb, batch_labels):
         bank.cursors[i] = (start + rows.size) % s
 
 
-def select_hard_positive(query, bank: InstanceBank, own_cluster: int):
-    """Slot of ``own_cluster`` least similar to the query (ties: lowest index)."""
-    sims = bank.slots[own_cluster] @ np.asarray(query, dtype=np.float64)
-    idx = int(np.argmin(sims))
-    return idx, bank.slots[own_cluster, idx].copy()
+def hard_keys(batch, bank: InstanceBank, own_clusters):
+    """One key per cluster for every row of a B x D batch: the hard positive
+    (least similar slot) in the row's own cluster, the hard negative (most
+    similar slot) in every other cluster; ties go to the lowest slot.
 
-
-def select_hard_negative(query, bank: InstanceBank, other_cluster: int):
-    """Slot of ``other_cluster`` most similar to the query (ties: lowest index)."""
-    sims = bank.slots[other_cluster] @ np.asarray(query, dtype=np.float64)
-    idx = int(np.argmax(sims))
-    return idx, bank.slots[other_cluster, idx].copy()
-
-
-def hard_keys(query, bank: InstanceBank, own_cluster: int):
-    """One key per cluster: the hard positive for ``own_cluster``, the hard
-    negative for every other cluster. Returns (slot indices, C x D keys)."""
-    query = np.asarray(query, dtype=np.float64)
-    sims = bank.slots @ query
-    picks = np.argmax(sims, axis=1)
-    picks[own_cluster] = np.argmin(sims[own_cluster])
-    keys = bank.slots[np.arange(bank.num_clusters), picks]
-    return picks, keys
+    Returns (B x C slot indices, B x C similarities of the picked slots),
+    from one B x (C*S) product against the flattened slots.
+    """
+    batch = np.asarray(batch, dtype=np.float64)
+    own_clusters = _checked_ids(own_clusters, bank.num_clusters)
+    c, s, d = bank.slots.shape
+    sims = (batch @ bank.slots.reshape(c * s, d).T).reshape(-1, c, s)
+    picks = np.argmax(sims, axis=2)
+    rows = np.arange(sims.shape[0])
+    picks[rows, own_clusters] = np.argmin(sims[rows, own_clusters], axis=1)
+    return picks, np.take_along_axis(sims, picks[:, :, None], axis=2)[:, :, 0]

@@ -40,7 +40,7 @@ def build_epoch_batches(labels: PseudoLabeling, n_id: int, n_inst: int, rng_seed
         idx_blocks = []
         label_blocks = []
         for cid in chosen:
-            members = labels.members_of(int(cid))
+            members = labels.members[cid]
             draw = rng.choice(members, size=n_inst, replace=members.size < n_inst)
             idx_blocks.append(draw)
             label_blocks.append(np.full(n_inst, cid, dtype=np.int64))

@@ -154,24 +154,15 @@ def train(samples, cfg: TrainConfig, model: MLPEncoder = None, event_log=None):
             grad_emb = np.zeros_like(emb_b)
             if cfg.mu > 0.0:
                 _log(event_log, epoch, it, "cluster_loss")
-                vals = 0.0
-                for b in range(batch_size):
-                    out = cluster_loss(
-                        emb_b[b], cluster_bank, int(batch.cluster_ids[b]), cfg.tau_c
-                    )
-                    vals += out.value
-                    grad_emb[b] += (cfg.mu / batch_size) * out.grad_query
-                sum_cls += vals / batch_size
+                out = cluster_loss(emb_b, cluster_bank, batch.cluster_ids, cfg.tau_c)
+                sum_cls += float(out.values.mean())
+                grad_emb += (cfg.mu / batch_size) * out.grad
             if cfg.mu < 1.0:
                 _log(event_log, epoch, it, "instance_loss")
-                vals = 0.0
-                for b in range(batch_size):
-                    out = hard_instance_loss(
-                        emb_b[b], instance_bank, int(batch.cluster_ids[b]), cfg.tau_ins
-                    )
-                    vals += out.value
-                    grad_emb[b] += ((1.0 - cfg.mu) / batch_size) * out.grad_query
-                sum_ins += vals / batch_size
+                out = hard_instance_loss(emb_b, instance_bank, batch.cluster_ids,
+                                         cfg.tau_ins)
+                sum_ins += float(out.values.mean())
+                grad_emb += ((1.0 - cfg.mu) / batch_size) * out.grad
             grads = model.backward(cache, grad_emb)
             _log(event_log, epoch, it, "optimizer_step")
             adam_step(model, grads, opt)

@@ -127,6 +127,18 @@ def ref_softmax_loss(query, keys, pos, tau):
     return -float(np.log(probs[pos]))
 
 
+def ref_softmax_grad(query, keys, pos, tau):
+    """Gradient of ref_softmax_loss w.r.t. the query, summed key by key:
+    (sum_i p_i k_i - k_pos) / tau."""
+    logits = np.asarray([float(np.dot(k, query)) / tau for k in keys])
+    probs = np.exp(logits - logits.max())
+    probs = probs / probs.sum()
+    grad = -np.asarray(keys[pos], dtype=np.float64)
+    for p, k in zip(probs, keys):
+        grad = grad + p * np.asarray(k)
+    return grad / tau
+
+
 def ref_hard_positive(query, cluster_slots):
     sims = [float(np.dot(s, query)) for s in cluster_slots]
     return min(range(len(sims)), key=lambda i: (sims[i], i))
@@ -135,6 +147,22 @@ def ref_hard_positive(query, cluster_slots):
 def ref_hard_negative(query, cluster_slots):
     sims = [float(np.dot(s, query)) for s in cluster_slots]
     return min(range(len(sims)), key=lambda i: (-sims[i], i))
+
+
+def ref_hard_keys(query, slots, own):
+    """One query's keys, one per cluster: the hard positive of ``own`` and
+    the hard negative of every other cluster (the per-sample selection)."""
+    picks = [
+        ref_hard_positive(query, slots[c]) if c == own
+        else ref_hard_negative(query, slots[c])
+        for c in range(len(slots))
+    ]
+    return picks, np.stack([slots[c][p] for c, p in enumerate(picks)])
+
+
+def ref_members_of(assignment, cluster):
+    """Indices of one cluster's members by a full scan, in ascending order."""
+    return [i for i, a in enumerate(assignment) if a == cluster]
 
 
 def ref_evaluate(q_emb, g_emb, q_ids, q_cams, g_ids, g_cams, ks=(1, 5, 10),

@@ -120,6 +120,27 @@ class TestTrain:
             rows = list(csv.reader(fh))
         assert all(float(r[6]) == 0.0 for r in rows[1:])
 
+    def test_deterministic_without_threadpoolctl_warns_and_records(
+            self, dataset_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        out = tmp_path / "det_unpinned"
+        rc = main([
+            "train", "--features", str(dataset_dir / "train.feat"),
+            "--out-dir", str(out), "--deterministic", *TRAIN_FLAGS,
+        ])
+        assert rc == 0
+        assert "BLAS threads are not pinned" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_threads_pinned"] is False
+        rc = main([
+            "train", "--features", str(dataset_dir / "train.feat"),
+            "--out-dir", str(tmp_path / "plain"), *TRAIN_FLAGS,
+        ])
+        assert rc == 0
+        assert "not pinned" not in capsys.readouterr().err
+        manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
+        assert "blas_threads_pinned" not in manifest
+
     def test_config_file_and_flag_precedence(self, dataset_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"epochs": 1, "mu": 0.25}))

@@ -23,6 +23,7 @@ from hybridreid import (
 from hybridreid.core import FEATURE_MAGIC, features_matrix
 
 from conftest import make_samples
+from oracles import ref_members_of
 
 
 class TestL2Normalize:
@@ -63,9 +64,21 @@ class TestPseudoLabeling:
         lab = PseudoLabeling(assignment=[0, 1, OUTLIER, 0, 1], num_clusters=2)
         assert lab.num_samples == 5
         assert lab.num_outliers == 1
-        assert lab.members_of(0).tolist() == [0, 3]
+        assert [m.tolist() for m in lab.members] == [[0, 3], [1, 4]]
         assert lab.non_outlier_indices().tolist() == [0, 1, 3, 4]
         lab.validate()
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        assignment=st.lists(st.integers(OUTLIER, 6), max_size=60),
+        num_clusters=st.integers(0, 7),
+    )
+    def test_members_match_per_cluster_scan(self, assignment, num_clusters):
+        lab = PseudoLabeling(assignment=assignment, num_clusters=num_clusters)
+        assert len(lab.members) == num_clusters
+        for i, members in enumerate(lab.members):
+            assert members.dtype == np.int64
+            assert members.tolist() == ref_members_of(assignment, i)
 
     def test_validate_rejects_out_of_range(self):
         lab = PseudoLabeling(assignment=[0, 2], num_clusters=2)
