@@ -213,19 +213,13 @@ def cmd_cluster(args) -> int:
         "kreciprocal_k": args.kreciprocal_k,
         "dbscan_eps": args.dbscan_eps,
         "dbscan_min_pts": args.dbscan_min_pts,
-        "jaccard_blend": args.jaccard_blend,
     }
     write_manifest(out_dir, "cluster", params, None,
                    inputs={"features": args.features}, outputs=[labels_path])
     samples = load_features(args.features)
+    validate_config(TrainConfig(**params), num_samples=len(samples))
     emb = l2_normalize(features_matrix(samples))
-    labels = pseudo_label(
-        emb,
-        k=args.kreciprocal_k,
-        eps=args.dbscan_eps,
-        min_pts=args.dbscan_min_pts,
-        blend=args.jaccard_blend,
-    )
+    labels = pseudo_label(emb, args.kreciprocal_k, args.dbscan_eps, args.dbscan_min_pts)
     with open(labels_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_index", "cluster_id"])
@@ -387,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kreciprocal-k", type=int, default=TrainConfig.kreciprocal_k)
     sp.add_argument("--dbscan-eps", type=float, default=TrainConfig.dbscan_eps)
     sp.add_argument("--dbscan-min-pts", type=int, default=TrainConfig.dbscan_min_pts)
-    sp.add_argument("--jaccard-blend", type=float, default=TrainConfig.jaccard_blend)
     sp.set_defaults(func=cmd_cluster)
 
     sp = sub.add_parser("train", help="train an embedding model")

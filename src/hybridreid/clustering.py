@@ -1,133 +1,145 @@
-"""Pseudo-label generation: pairwise distances, k-reciprocal neighbor
-expansion, Jaccard distance and a deterministic DBSCAN on precomputed
-distance matrices."""
+"""Pseudo-label generation: k-reciprocal neighbor sets, their Jaccard
+distance and a deterministic DBSCAN. Distances are ranked one row block at
+a time and the sets and Jaccard distances are CSR matrices, so no step
+holds an N x N array."""
 
 from __future__ import annotations
 
 from collections import deque
 
 import numpy as np
+from scipy import sparse
 
 from .core import OUTLIER, PseudoLabeling
 
+# Rows of distances ranked at once; labeling memory is a few BLOCK_ROWS x N arrays.
+BLOCK_ROWS = 256
 
-def pairwise_euclidean(emb: np.ndarray) -> np.ndarray:
-    """Euclidean distance matrix between unit-norm rows.
 
-    Uses ``sqrt(2 - 2 <x_i, x_j>)``, which is exact for unit vectors and
-    yields an exactly symmetric, zero-diagonal matrix.
-    """
-    emb = np.asarray(emb, dtype=np.float64)
-    norms = np.linalg.norm(emb, axis=1)
-    if emb.shape[0] and not np.allclose(norms, 1.0, atol=1e-4):
-        raise ValueError("pairwise_euclidean expects unit-norm rows")
-    gram = emb @ emb.T
-    sq = np.clip(2.0 - 2.0 * gram, 0.0, None)
-    dist = np.sqrt(sq)
-    np.fill_diagonal(dist, 0.0)
+def pairwise_euclidean(a: np.ndarray, b: np.ndarray = None) -> np.ndarray:
+    """Euclidean distances ``sqrt(2 - 2 <a_i, b_j>)`` between unit-norm rows,
+    exact for unit vectors. ``b`` defaults to ``a``, which gives an exactly
+    symmetric matrix with a zero diagonal."""
+    a = np.asarray(a, dtype=np.float64)
+    b = a if b is None else np.asarray(b, dtype=np.float64)
+    for rows in (a, b):
+        if rows.shape[0] and not np.allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-4):
+            raise ValueError("pairwise_euclidean expects unit-norm rows")
+    dist = a @ b.T
+    dist *= -2.0
+    dist += 2.0
+    np.sqrt(np.clip(dist, 0.0, None, out=dist), out=dist)
+    if b is a:
+        np.fill_diagonal(dist, 0.0)
     return dist
 
 
-def k_reciprocal_neighbors(dist: np.ndarray, k: int) -> np.ndarray:
-    """Boolean matrix of k-reciprocal neighbor sets.
+def k_reciprocal_neighbors(emb: np.ndarray, k: int):
+    """Boolean CSR matrix of k-reciprocal neighbor sets of the rows of ``emb``.
 
-    Row i marks ``R(i) = {j : j in kNN(i) and i in kNN(j)}`` with kNN
-    excluding the sample itself and ties broken by lower index. The
-    diagonal is False.
+    Row i holds ``R(i) = {j : j in kNN(i) and i in kNN(j)}`` in ascending
+    order, with kNN excluding the sample itself and ties at the k-th
+    distance broken by lower index. Distances come BLOCK_ROWS rows at a time.
     """
-    dist = np.asarray(dist)
-    n = dist.shape[0]
+    emb = np.asarray(emb, dtype=np.float64)
+    n = emb.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n; got k={k}, n={n}")
-    # Stable argsort keeps equal distances in ascending index order.
-    order = np.argsort(dist, axis=1, kind="stable")
-    knn = np.zeros((n, n), dtype=bool)
-    rows = np.arange(n)
-    taken = np.zeros(n, dtype=np.int64)
-    for col in range(min(k + 1, n)):
-        j = order[:, col]
-        pick = (j != rows) & (taken < k)
-        knn[rows[pick], j[pick]] = True
-        taken += pick
-    return knn & knn.T
+    knn = np.empty((n, k), dtype=np.int64)
+    for lo in range(0, n, BLOCK_ROWS):
+        dist = pairwise_euclidean(emb[lo:lo + BLOCK_ROWS], emb)
+        rows = np.arange(dist.shape[0])
+        dist[rows, lo + rows] = np.inf
+        near = np.argpartition(dist, k - 1, axis=1)[:, :k]
+        kth = np.take_along_axis(dist, near, axis=1).max(axis=1, keepdims=True)
+        over = np.flatnonzero(np.count_nonzero(dist <= kth, axis=1) > k)
+        if over.size:
+            # more candidates at the k-th distance than slots left: the
+            # lowest indices among them take the slots
+            below, tied = dist[over] < kth[over], dist[over] == kth[over]
+            room = k - np.count_nonzero(below, axis=1)
+            picked = below | tied & (np.cumsum(tied, axis=1) <= room[:, None])
+            near[over] = np.nonzero(picked)[1].reshape(-1, k)
+        knn[lo:lo + rows.size] = np.sort(near, axis=1)
+    knn = sparse.csr_array((np.ones(n * k, dtype=bool), knn.ravel(),
+                            np.arange(0, n * k + 1, k)), shape=(n, n))
+    return knn.multiply(knn.T)
 
 
-def jaccard_distance(neighbor_sets: np.ndarray) -> np.ndarray:
-    """Jaccard distance matrix over neighbor sets.
+def jaccard_distance(neighbor_sets):
+    """Sparse Jaccard distances between neighbor sets.
 
-    ``neighbor_sets`` is a boolean matrix whose row i is the set R(i);
-    each set is treated as containing its own sample i regardless of the
-    stored diagonal. Entry (i, j) is ``1 - |R(i) & R(j)| / |R(i) | R(j)|``.
+    ``neighbor_sets`` is a boolean (sparse or dense) matrix whose row i is
+    the set R(i); each set is treated as containing its own sample i
+    regardless of the stored diagonal. Entry (i, j) is
+    ``1 - |R(i) & R(j)| / |R(i) | R(j)|``, stored (zeros included) only for
+    pairs whose sets intersect; every absent pair is at distance 1.
     """
-    sets = np.asarray(neighbor_sets, dtype=bool).copy()
+    sets = sparse.csr_array(neighbor_sets, dtype=bool)
     n = sets.shape[0]
-    np.fill_diagonal(sets, True)
-    # float32 matmul of 0/1 rows counts intersections exactly (n < 2^24).
-    m = sets.astype(np.float32)
-    inter = m @ m.T
-    sizes = m.sum(axis=1)
-    union = sizes[:, None] + sizes[None, :] - inter
-    dist = 1.0 - inter.astype(np.float64) / union.astype(np.float64)
-    np.fill_diagonal(dist, 0.0)
-    return np.clip(dist, 0.0, 1.0)
+    sets = (sets + sparse.eye_array(n, dtype=bool, format="csr")).astype(np.int32)
+    sizes = sets.sum(axis=1)
+    inter = sets @ sets.T
+    inter.sort_indices()
+    rows = np.repeat(np.arange(n), np.diff(inter.indptr))
+    union = sizes[rows] + sizes[inter.indices] - inter.data
+    dist = 1.0 - inter.data.astype(np.float64) / union.astype(np.float64)
+    return sparse.csr_array((dist, inter.indices, inter.indptr), shape=(n, n))
 
 
-def blend_distances(jaccard: np.ndarray, euclidean: np.ndarray, blend: float):
-    """Convex blend ``(1-blend) * jaccard + blend * euclidean``."""
-    if not 0.0 <= blend <= 1.0:
-        raise ValueError(f"blend must be in [0, 1], got {blend}")
-    if blend == 0.0:
-        return jaccard
-    return (1.0 - blend) * jaccard + blend * euclidean
+def dbscan(dist, eps: float, min_pts: int) -> PseudoLabeling:
+    """DBSCAN on a precomputed, symmetric distance matrix.
 
-
-def dbscan(dist: np.ndarray, eps: float, min_pts: int) -> PseudoLabeling:
-    """DBSCAN on a precomputed distance matrix.
-
-    A point is core iff it has at least ``min_pts`` neighbors within
-    ``eps``, itself excluded. Expansion scans samples in ascending index
-    order and claims border points for the first cluster that reaches
-    them, so the result is deterministic.
+    ``dist`` is dense, or a sparse matrix whose absent entries lie beyond
+    ``eps`` (its stored zeros are distances of 0). A point is core iff it
+    has at least ``min_pts`` neighbors within ``eps``, itself excluded.
+    Expansion scans samples in ascending index order and claims border
+    points for the first cluster that reaches them, so the result is
+    deterministic.
     """
-    dist = np.asarray(dist)
-    n = dist.shape[0]
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
+    if sparse.issparse(dist):
+        dist = sparse.csr_array(dist)
+        near = dist.data <= eps
+        rows = np.repeat(np.arange(dist.shape[0]), np.diff(dist.indptr))[near]
+        cols = dist.indices[near]
+    else:
+        dist = np.asarray(dist)
+        rows, cols = np.nonzero(dist <= eps)
+    n = dist.shape[0]
+    off_diagonal = rows != cols
+    rows, cols = rows[off_diagonal], cols[off_diagonal]
+    core = (np.bincount(rows, minlength=n) >= min_pts).tolist()
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
 
-    within = dist <= eps
-    np.fill_diagonal(within, False)
-    neighbor_counts = within.sum(axis=1)
-    core = neighbor_counts >= min_pts
-
-    assignment = np.full(n, OUTLIER, dtype=np.int64)
-    assigned = np.zeros(n, dtype=bool)
+    assignment = [OUTLIER] * n
     cluster = 0
     for start in range(n):
-        if assigned[start] or not core[start]:
+        if assignment[start] != OUTLIER or not core[start]:
             continue
-        assigned[start] = True
         assignment[start] = cluster
         queue = deque([start])
         while queue:
             p = queue.popleft()
-            for q in np.flatnonzero(within[p]):
-                if assigned[q]:
+            for q in cols[bounds[p]:bounds[p + 1]]:
+                if assignment[q] != OUTLIER:
                     continue
-                assigned[q] = True
                 assignment[q] = cluster
                 if core[q]:
                     queue.append(q)
         cluster += 1
-    labeling = PseudoLabeling(assignment=assignment, num_clusters=cluster)
+    labeling = PseudoLabeling(assignment=np.asarray(assignment), num_clusters=cluster)
     labeling.validate()
     return labeling
 
 
-def pseudo_label(emb, k, eps, min_pts, blend=0.0) -> PseudoLabeling:
-    """Full per-epoch labeling: Euclidean -> k-reciprocal -> Jaccard -> DBSCAN."""
-    euclid = pairwise_euclidean(emb)
-    recip = k_reciprocal_neighbors(euclid, k)
-    jac = jaccard_distance(recip)
-    return dbscan(blend_distances(jac, euclid, blend), eps, min_pts)
+def pseudo_label(emb, k, eps, min_pts) -> PseudoLabeling:
+    """Full per-epoch labeling: k-reciprocal sets -> Jaccard -> DBSCAN, with
+    ``eps`` < 1 as pairs sharing no neighbor (distance 1) are not stored."""
+    if not eps < 1.0:
+        raise ValueError(f"eps must be < 1 for Jaccard distances, got {eps}")
+    return dbscan(jaccard_distance(k_reciprocal_neighbors(emb, k)), eps, min_pts)

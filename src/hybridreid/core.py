@@ -233,9 +233,6 @@ class TrainConfig:
     dbscan_eps: float = 0.45
     dbscan_min_pts: int = 4
     kreciprocal_k: int = 30
-    # Weight of the raw Euclidean distance blended into the Jaccard distance
-    # before DBSCAN; 0 keeps the pure Jaccard construction.
-    jaccard_blend: float = 0.0
     seed: int = 0
     hidden_dims: tuple = (128, 64)
 
@@ -272,8 +269,9 @@ class TrainConfig:
             fh.write("\n")
 
 
-def validate_config(cfg: TrainConfig):
-    """Raise ConfigError naming every violated field."""
+def validate_config(cfg: TrainConfig, num_samples: int = None):
+    """Raise ConfigError naming every violated field; given ``num_samples``
+    and otherwise valid fields, also require ``kreciprocal_k`` below it."""
     problems = []
 
     def unit_interval(name):
@@ -293,11 +291,9 @@ def validate_config(cfg: TrainConfig):
 
     unit_interval("mu")
     unit_interval("alpha")
-    unit_interval("jaccard_blend")
     positive("tau_c")
     positive("tau_ins")
     positive("lr")
-    positive("dbscan_eps")
     positive_int("num_identities_per_batch")
     positive_int("instances_per_identity")
     positive_int("slots_per_cluster")
@@ -305,6 +301,9 @@ def validate_config(cfg: TrainConfig):
     positive_int("lr_decay_every")
     positive_int("dbscan_min_pts")
     positive_int("kreciprocal_k")
+    # Jaccard distances are at most 1, and pairs at distance 1 are not stored.
+    if not 0 < cfg.dbscan_eps < 1:
+        problems.append(f"dbscan_eps must be in (0, 1), got {cfg.dbscan_eps}")
     if not (np.isfinite(cfg.weight_decay) and cfg.weight_decay >= 0):
         problems.append(f"weight_decay must be >= 0, got {cfg.weight_decay}")
     if not (np.isfinite(cfg.lr_decay_factor) and 0 < cfg.lr_decay_factor <= 1):
@@ -317,5 +316,7 @@ def validate_config(cfg: TrainConfig):
         not isinstance(h, (int, np.integer)) or h < 1 for h in cfg.hidden_dims
     ):
         problems.append(f"hidden_dims must be positive integers, got {cfg.hidden_dims}")
+    if not problems and num_samples is not None and cfg.kreciprocal_k >= num_samples:
+        problems.append(f"kreciprocal_k must be < {num_samples} samples, got {cfg.kreciprocal_k}")
     if problems:
         raise ConfigError("; ".join(problems))

@@ -71,11 +71,9 @@ def train(samples, cfg: TrainConfig, model: MLPEncoder = None, event_log=None):
     tuples for the loss reads, optimizer step and bank writes of every
     batch, in execution order.
     """
-    validate_config(cfg)
     feats = features_matrix(samples)
     n, d_in = feats.shape
-    if n < 2:
-        raise ValueError("need at least 2 training samples")
+    validate_config(cfg, num_samples=n)
     if model is None:
         model = MLPEncoder([d_in, *cfg.hidden_dims], seed=cfg.seed)
     if model.widths[0] != d_in:
@@ -94,13 +92,7 @@ def train(samples, cfg: TrainConfig, model: MLPEncoder = None, event_log=None):
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         emb = embed_all(model, feats)
-        labels = pseudo_label(
-            emb,
-            k=cfg.kreciprocal_k,
-            eps=cfg.dbscan_eps,
-            min_pts=cfg.dbscan_min_pts,
-            blend=cfg.jaccard_blend,
-        )
+        labels = pseudo_label(emb, cfg.kreciprocal_k, cfg.dbscan_eps, cfg.dbscan_min_pts)
         num_c = labels.num_clusters
         if num_c == 0:
             empty_streak += 1

@@ -84,6 +84,20 @@ class TestCluster:
         capsys.readouterr()
 
 
+    def test_kreciprocal_k_at_least_n_exits_2_before_clustering(
+            self, dataset_dir, tmp_path, capsys, monkeypatch):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("clustering ran")
+
+        monkeypatch.setattr("hybridreid.cli.pseudo_label", no_compute)
+        rc = main([
+            "cluster", "--features", str(dataset_dir / "train.feat"),
+            "--out-dir", str(tmp_path / "o"), "--kreciprocal-k", "32",
+        ])
+        assert rc == 2
+        assert "kreciprocal_k" in capsys.readouterr().err
+
+
 class TestTrain:
     def test_writes_metrics_checkpoint_eval(self, dataset_dir, tmp_path):
         out = tmp_path / "run"
@@ -253,6 +267,40 @@ class TestExitCodes:
         ])
         assert rc == 2
         assert "mu" in capsys.readouterr().err
+
+    def test_kreciprocal_k_at_least_n_exits_2_before_embedding(
+            self, dataset_dir, tmp_path, capsys, monkeypatch):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("embedding ran")
+
+        monkeypatch.setattr("hybridreid.trainer.embed_all", no_compute)
+        rc = main([
+            "train", "--features", str(dataset_dir / "train.feat"),
+            "--out-dir", str(tmp_path / "o"), "--kreciprocal-k", "32",
+        ])
+        assert rc == 2
+        assert "kreciprocal_k" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "checkpoint.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["cluster", "train"])
+    def test_dbscan_eps_at_least_one_exits_2(self, dataset_dir, tmp_path, capsys,
+                                             command):
+        rc = main([
+            command, "--features", str(dataset_dir / "train.feat"),
+            "--out-dir", str(tmp_path / "o"), "--kreciprocal-k", "7",
+            "--dbscan-eps", "1.0",
+        ])
+        assert rc == 2
+        assert "dbscan_eps" in capsys.readouterr().err
+
+    def test_config_naming_jaccard_blend_exits_2(self, dataset_dir, tmp_path,
+                                                 capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jaccard_blend": 0.0}))
+        rc = main(["train", "--features", str(dataset_dir / "train.feat"),
+                   "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
+        assert rc == 2
+        assert "jaccard_blend" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self, dataset_dir, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

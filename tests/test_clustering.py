@@ -1,17 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import sparse
 from scipy.spatial.distance import cdist
 
-from hybridreid import OUTLIER, dbscan, l2_normalize, pseudo_label
+from hybridreid import OUTLIER, clustering, dbscan, l2_normalize, pseudo_label
 from hybridreid.clustering import (
-    blend_distances,
+    BLOCK_ROWS,
     jaccard_distance,
     k_reciprocal_neighbors,
     pairwise_euclidean,
 )
 
 from oracles import (
-    canonical_partition,
     ref_dbscan,
     ref_jaccard,
     ref_kreciprocal,
@@ -24,6 +29,35 @@ def random_dist(rng, n):
     d = cdist(pts, pts)
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def lattice_rows(base, picks):
+    """Unit rows ``base[picks]`` of {-1, 0, 1} lattice points (a zero point
+    becomes e1): repeated picks tie at distance 0 and symmetric lattice
+    points tie exactly at other distances."""
+    base = np.asarray(base, dtype=np.float64)
+    base[~base.any(axis=1), 0] = 1.0
+    return l2_normalize(base[picks])
+
+
+def tie_rich_emb(rng, n, dims=3):
+    base = rng.integers(-1, 2, size=(max(2, n // 3), dims))
+    return lattice_rows(base, rng.integers(0, base.shape[0], size=n))
+
+
+def blocked_dist(emb, block=BLOCK_ROWS):
+    """The distances k_reciprocal_neighbors ranks: the same row blocks,
+    stacked (the self-distance, which it masks, is left as computed)."""
+    return np.vstack([pairwise_euclidean(emb[lo:lo + block], emb)
+                      for lo in range(0, emb.shape[0], block)])
+
+
+def densify(dist):
+    """Dense copy of a sparse Jaccard matrix, absent pairs at distance 1."""
+    coo = sparse.coo_array(dist)
+    out = np.ones(dist.shape)
+    out[coo.row, coo.col] = coo.data
+    return out
 
 
 class TestPairwiseEuclidean:
@@ -39,40 +73,71 @@ class TestPairwiseEuclidean:
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
 
+    def test_row_blocks_match_full_matrix(self, rng):
+        # BLAS may split the sums differently for a block than for the
+        # symmetric full product, so only the last bits may differ
+        emb = l2_normalize(rng.standard_normal((300, 16)))
+        full = pairwise_euclidean(emb)
+        off = ~np.eye(300, dtype=bool)  # blocks leave the self-distance unzeroed
+        for block in (1, 7, 64, 256):
+            rows = blocked_dist(emb, block)
+            assert np.max(np.abs(rows[off] - full[off])) <= 1e-12
+
     def test_rejects_unnormalized(self, rng):
         with pytest.raises(ValueError):
             pairwise_euclidean(2.0 * l2_normalize(rng.standard_normal((4, 3))))
+        unit = l2_normalize(rng.standard_normal((4, 3)))
+        with pytest.raises(ValueError):
+            pairwise_euclidean(unit, 2.0 * unit)
 
 
 class TestKReciprocal:
-    def test_matches_reference(self, rng):
+    def test_matches_reference(self, rng, monkeypatch):
         for trial in range(10):
             n = int(rng.integers(5, 40))
-            d = random_dist(rng, n)
+            emb = tie_rich_emb(rng, n)
             k = int(rng.integers(1, n))
-            got = k_reciprocal_neighbors(d, k)
-            assert np.array_equal(got, ref_kreciprocal(d, k))
+            block = int(rng.integers(1, n + 1))
+            monkeypatch.setattr(clustering, "BLOCK_ROWS", block)
+            got = k_reciprocal_neighbors(emb, k)
+            assert got.has_sorted_indices
+            ref = ref_kreciprocal(blocked_dist(emb, block), k)
+            assert np.array_equal(got.toarray(), ref)
 
     def test_symmetric_and_irreflexive(self, rng):
-        d = random_dist(rng, 25)
-        got = k_reciprocal_neighbors(d, 6)
+        got = k_reciprocal_neighbors(tie_rich_emb(rng, 25), 6).toarray()
         assert np.array_equal(got, got.T)
         assert not got.diagonal().any()
 
     def test_duplicate_points_tie_break(self):
         # four identical points: kNN with k=2 keeps the two lowest indices
-        d = np.zeros((4, 4))
-        got = k_reciprocal_neighbors(d, 2)
-        assert np.array_equal(got, ref_kreciprocal(d, 2))
+        emb = np.tile([[0.6, 0.8]], (4, 1))
+        got = k_reciprocal_neighbors(emb, 2).toarray()
+        assert np.array_equal(got, ref_kreciprocal(np.zeros((4, 4)), 2))
         # 0 and 1 pick each other; 3 picks {0, 1} but they don't pick it back
         assert got[0, 1] and not got[0, 3] and not got[3, 0]
 
+    def test_boundary_tie_takes_lowest_indices(self, monkeypatch):
+        # k=3. Row 0 (e1) has 5 strictly closer and 1..4 (+-e2, +-e3) tied
+        # at sqrt(2) for the 2 slots left: 1 and 2 take them. Row 3 (e3)
+        # has 0, 1, 2 and 5 tied for all 3 slots: 0, 1 and 2 take them.
+        s = np.sqrt(0.5)
+        emb = np.array([[1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1],
+                        [s, s, 0]])
+        for block in (1, 2, 6):
+            monkeypatch.setattr(clustering, "BLOCK_ROWS", block)
+            got = k_reciprocal_neighbors(emb, 3).toarray()
+            assert np.array_equal(got, ref_kreciprocal(blocked_dist(emb, block), 3))
+        # 3 picks 0 but loses the tie in row 0, so they are not reciprocal
+        assert np.flatnonzero(got[0]).tolist() == [1, 2, 5]
+        assert np.flatnonzero(got[3]).tolist() == [1, 2]
+
     def test_k_bounds(self, rng):
-        d = random_dist(rng, 6)
+        emb = tie_rich_emb(rng, 6)
         with pytest.raises(ValueError):
-            k_reciprocal_neighbors(d, 0)
+            k_reciprocal_neighbors(emb, 0)
         with pytest.raises(ValueError):
-            k_reciprocal_neighbors(d, 6)
+            k_reciprocal_neighbors(emb, 6)
 
 
 class TestJaccard:
@@ -81,41 +146,40 @@ class TestJaccard:
             n = int(rng.integers(2, 40))
             sets = rng.random((n, n)) < 0.3
             sets = sets | sets.T
-            got = jaccard_distance(sets)
-            assert np.allclose(got, ref_jaccard(sets), atol=1e-12)
+            got = jaccard_distance(sparse.csr_array(sets))
+            assert np.array_equal(densify(got), ref_jaccard(sets))
 
     def test_range_symmetry_diagonal(self, rng):
         sets = rng.random((30, 30)) < 0.2
         sets = sets | sets.T
-        got = jaccard_distance(sets)
+        got = densify(jaccard_distance(sparse.csr_array(sets)))
         assert np.all((got >= 0.0) & (got <= 1.0))
         assert np.array_equal(got, got.T)
         assert np.all(np.diag(got) == 0.0)
 
     def test_empty_sets_still_defined(self):
         # rows with no reciprocal neighbors reduce to singleton {i}
-        got = jaccard_distance(np.zeros((3, 3), dtype=bool))
+        got = jaccard_distance(sparse.csr_array((3, 3), dtype=bool))
+        assert got.nnz == 3  # only the diagonal shares a member
+        got = densify(got)
         assert np.all(np.diag(got) == 0.0)
         assert np.all(got[~np.eye(3, dtype=bool)] == 1.0)
 
     def test_identical_sets_distance_zero(self):
-        sets = np.ones((4, 4), dtype=bool)
-        assert np.all(jaccard_distance(sets) == 0.0)
+        got = jaccard_distance(sparse.csr_array(np.ones((4, 4), dtype=bool)))
+        # every pair is stored, at an explicit distance of 0
+        assert got.nnz == 16
+        assert np.all(densify(got) == 0.0)
 
-
-class TestBlend:
-    def test_zero_blend_returns_jaccard(self, rng):
-        j = rng.random((5, 5))
-        assert blend_distances(j, rng.random((5, 5)), 0.0) is j
-
-    def test_convex_combination(self, rng):
-        j, e = rng.random((5, 5)), rng.random((5, 5))
-        got = blend_distances(j, e, 0.3)
-        assert np.allclose(got, 0.7 * j + 0.3 * e)
-
-    def test_invalid_blend(self, rng):
-        with pytest.raises(ValueError):
-            blend_distances(np.eye(2), np.eye(2), 1.5)
+    def test_only_pairs_within_two_hops_stored(self, rng):
+        sets = rng.random((40, 40)) < 0.05
+        sets = sets | sets.T
+        star = (sets | np.eye(40, dtype=bool)).astype(int)
+        shared = star @ star.T > 0
+        got = jaccard_distance(sparse.csr_array(sets)).tocoo()
+        stored = np.zeros((40, 40), dtype=bool)
+        stored[got.row, got.col] = True
+        assert got.nnz == shared.sum() and np.array_equal(stored, shared)
 
 
 class TestDbscan:
@@ -172,6 +236,24 @@ class TestDbscan:
         assert dbscan(d, eps=0.2, min_pts=2).num_clusters == 0
         assert dbscan(d, eps=0.2, min_pts=1).num_clusters == 1
 
+    def test_sparse_matches_dense(self, rng):
+        for trial in range(25):
+            n = int(rng.integers(10, 60))
+            d = random_dist(rng, n)
+            # eps equal to a stored distance: the boundary pairs are neighbors
+            eps = float(rng.choice(d[(d >= 0.5) & (d <= 4.0)]))
+            min_pts = int(rng.integers(1, 8))
+            # store every pair within eps and some beyond it, zeros included
+            rows, cols = np.nonzero(d <= eps + rng.uniform(0.0, 1.0))
+            stored = sparse.csr_array(
+                (d[rows, cols], cols, np.searchsorted(rows, np.arange(n + 1))),
+                shape=(n, n))
+            assert (stored.data == 0.0).sum() >= n
+            got = dbscan(stored, eps, min_pts)
+            ref_labels, ref_c = ref_dbscan(d, eps, min_pts)
+            assert got.num_clusters == ref_c
+            assert got.assignment.tolist() == ref_labels.tolist()
+
     def test_parameter_validation(self):
         d = np.zeros((3, 3))
         with pytest.raises(ValueError):
@@ -216,3 +298,59 @@ class TestPseudoLabelPipeline:
         emb.append(l2_normalize(-protos[0] - protos[1] + rng.standard_normal(16)))
         lab = pseudo_label(np.asarray(emb), k=6, eps=0.4, min_pts=4)
         assert lab.assignment[-1] == OUTLIER
+
+    def test_identical_sets_are_neighbors_at_distance_zero(self):
+        # k=1 pairs 0 with 1 and 2 with 3, so R*(0) = R*(1) = {0, 1} and
+        # R*(2) = R*(3) = {2, 3}: Jaccard distance exactly 0 within a pair
+        emb = l2_normalize(np.array([[1.0, 0.01], [1.0, -0.01],
+                                     [-1.0, 0.02], [-1.0, -0.02]]))
+        jac = jaccard_distance(k_reciprocal_neighbors(emb, 1))
+        assert jac.nnz == 8 and np.all(jac.data == 0.0)
+        lab = pseudo_label(emb, k=1, eps=0.1, min_pts=1)
+        assert lab.assignment.tolist() == [0, 0, 1, 1]
+
+    def test_eps_at_least_one_rejected(self, rng):
+        emb = tie_rich_emb(rng, 12)
+        for eps in (1.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="eps"):
+                pseudo_label(emb, k=3, eps=eps, min_pts=2)
+
+    def test_peak_memory_below_one_dense_matrix(self, rng):
+        n = 3000
+        protos = l2_normalize(rng.standard_normal((150, 64)))
+        emb = l2_normalize(np.repeat(protos, 20, axis=0)
+                           + 0.05 * rng.standard_normal((n, 64)))
+        tracemalloc.start()
+        try:
+            lab = pseudo_label(emb, k=30, eps=0.45, min_pts=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lab.num_clusters > 0
+        assert peak < n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+# distances 1 - |A & B| / |A | B| of small sets, so eps lands on the boundary
+JACCARD_VALUES = sorted({1.0 - a / b for b in range(2, 12) for a in range(1, b)})
+
+
+@st.composite
+def tie_rich_embeddings(draw):
+    """2..30 rows of ``lattice_rows`` over 1..10 points in 2..4 dims."""
+    base = draw(hnp.arrays(np.int8, (draw(st.integers(1, 10)), draw(st.integers(2, 4))),
+                           elements=st.integers(-1, 1)))
+    picks = draw(st.lists(st.integers(0, base.shape[0] - 1), min_size=2, max_size=30))
+    return lattice_rows(base, picks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(emb=tie_rich_embeddings(), data=st.data())
+def test_pseudo_label_matches_dense_oracle_chain(emb, data):
+    k = data.draw(st.integers(1, emb.shape[0] - 1), label="k")
+    eps = data.draw(st.floats(0.01, 0.99) | st.sampled_from(JACCARD_VALUES), label="eps")
+    min_pts = data.draw(st.integers(1, 5), label="min_pts")
+    got = pseudo_label(emb, k, eps, min_pts)
+    jac = ref_jaccard(ref_kreciprocal(blocked_dist(emb), k))
+    ref_labels, ref_c = ref_dbscan(jac, eps, min_pts)
+    assert got.num_clusters == ref_c
+    assert got.assignment.tolist() == ref_labels.tolist()

@@ -257,13 +257,13 @@ class TestTrainConfig:
             ("lr_decay_factor", 0.0),
             ("lr_decay_factor", 1.5),
             ("dbscan_eps", -0.45),
+            ("dbscan_eps", 1.0),
             ("dbscan_min_pts", 0),
             ("kreciprocal_k", 0),
             ("num_identities_per_batch", 0),
             ("instances_per_identity", 0),
             ("slots_per_cluster", 0),
             ("seed", -1),
-            ("jaccard_blend", 1.5),
             ("hidden_dims", ()),
             ("hidden_dims", (0,)),
             ("mu", float("nan")),
@@ -274,6 +274,17 @@ class TestTrainConfig:
         with pytest.raises(ConfigError) as exc:
             validate_config(cfg)
         assert field in str(exc.value)
+
+    def test_kreciprocal_k_checked_against_sample_count(self):
+        cfg = TrainConfig(kreciprocal_k=30)
+        validate_config(cfg, num_samples=31)
+        for n in (30, 2):
+            with pytest.raises(ConfigError, match="kreciprocal_k"):
+                validate_config(cfg, num_samples=n)
+
+    def test_removed_jaccard_blend_field_rejected(self):
+        with pytest.raises(ConfigError, match="jaccard_blend"):
+            TrainConfig.from_dict({"jaccard_blend": 0.0})
 
     def test_config_error_is_value_error(self):
         assert issubclass(ConfigError, ValueError)
