@@ -10,12 +10,12 @@ from .core import (
     ClusteringCollapseError,
     ConfigError,
     EvaluationError,
+    FeatureSet,
     FileFormatError,
     FileIOError,
     HybridReidError,
     NumericError,
     PseudoLabeling,
-    Sample,
     TrainConfig,
     l2_normalize,
     load_features,
@@ -48,7 +48,7 @@ __all__ = [
     "NumericError",
     "ClusteringCollapseError",
     "EvaluationError",
-    "Sample",
+    "FeatureSet",
     "PseudoLabeling",
     "TrainConfig",
     "validate_config",

@@ -27,9 +27,6 @@ from .core import (
     FileIOError,
     NumericError,
     TrainConfig,
-    cameras,
-    features_matrix,
-    identities,
     l2_normalize,
     load_features,
     save_features,
@@ -50,18 +47,6 @@ EXIT_COLLAPSE = 5
 
 METRICS_HEADER = ["epoch", "C", "outliers", "loss", "loss_cls", "loss_ins", "seconds"]
 ABLATE_HEADER = ["mu", "seed", "mAP", "rank1", "rank5", "rank10"]
-
-_INT_CONFIG_FIELDS = {
-    "num_identities_per_batch",
-    "instances_per_identity",
-    "slots_per_cluster",
-    "epochs",
-    "lr_decay_every",
-    "dbscan_min_pts",
-    "kreciprocal_k",
-    "seed",
-}
-
 
 def _limit_blas_threads(n: int) -> bool:
     """Cap BLAS at ``n`` threads; False when threadpoolctl is not installed."""
@@ -123,13 +108,11 @@ def _add_config_flags(sp: argparse.ArgumentParser):
                     help="JSON file with training config fields")
     for field in dataclasses.fields(TrainConfig):
         flag = "--" + field.name.replace("_", "-")
-        if field.name == "hidden_dims":
-            sp.add_argument(flag, type=int, nargs="+", default=None,
-                            help="encoder hidden layer widths")
-        elif field.name in _INT_CONFIG_FIELDS:
-            sp.add_argument(flag, type=int, default=None)
+        kind = type(field.default)
+        if kind is tuple:
+            sp.add_argument(flag, type=int, nargs="+", default=None)
         else:
-            sp.add_argument(flag, type=float, default=None)
+            sp.add_argument(flag, type=kind, default=None)
 
 
 def _merge_config(args) -> TrainConfig:
@@ -163,22 +146,15 @@ def _write_metrics_csv(path, reports, zero_seconds: bool):
             ])
 
 
-def _evaluate_sets(query_samples, gallery_samples, model=None, junk_filter=True):
+def _evaluate_sets(query, gallery, model=None, junk_filter=True):
     if model is not None:
-        q_emb = embed_all(model, query_samples)
-        g_emb = embed_all(model, gallery_samples)
+        q_emb = embed_all(model, query.features)
+        g_emb = embed_all(model, gallery.features)
     else:
-        q_emb = l2_normalize(features_matrix(query_samples))
-        g_emb = l2_normalize(features_matrix(gallery_samples))
-    return evaluate_retrieval(
-        q_emb,
-        g_emb,
-        identities(query_samples),
-        cameras(query_samples),
-        identities(gallery_samples),
-        cameras(gallery_samples),
-        junk_filter=junk_filter,
-    )
+        q_emb = l2_normalize(query.features)
+        g_emb = l2_normalize(gallery.features)
+    return evaluate_retrieval(q_emb, g_emb, query.ids, query.cams, gallery.ids,
+                              gallery.cams, junk_filter=junk_filter)
 
 
 def cmd_gen_data(args) -> int:
@@ -198,11 +174,10 @@ def cmd_gen_data(args) -> int:
     write_manifest(out_dir, "gen-data", dataclasses.asdict(spec), spec.seed,
                    inputs={}, outputs=list(paths.values()))
     train_s, query_s, gallery_s = generate(spec)
-    for name, samples in (("train", train_s), ("query", query_s),
-                          ("gallery", gallery_s)):
-        save_features(samples, paths[name])
-    print(f"wrote {len(train_s)} train, {len(query_s)} query, "
-          f"{len(gallery_s)} gallery samples to {out_dir}")
+    for fs, path in zip((train_s, query_s, gallery_s), paths.values()):
+        save_features(fs, path)
+    print(f"wrote {train_s.ids.size} train, {query_s.ids.size} query, "
+          f"{gallery_s.ids.size} gallery samples to {out_dir}")
     return EXIT_OK
 
 
@@ -216,9 +191,9 @@ def cmd_cluster(args) -> int:
     }
     write_manifest(out_dir, "cluster", params, None,
                    inputs={"features": args.features}, outputs=[labels_path])
-    samples = load_features(args.features)
-    validate_config(TrainConfig(**params), num_samples=len(samples))
-    emb = l2_normalize(features_matrix(samples))
+    features = load_features(args.features).features
+    validate_config(TrainConfig(**params), num_samples=features.shape[0])
+    emb = l2_normalize(features)
     labels = pseudo_label(emb, args.kreciprocal_k, args.dbscan_eps, args.dbscan_min_pts)
     with open(labels_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -243,8 +218,7 @@ def cmd_train(args) -> int:
         inputs["gallery"] = args.gallery
         outputs.append(out_dir / "eval.json")
     write_manifest(out_dir, "train", cfg.to_dict(), cfg.seed, inputs, outputs, pinning)
-    samples = load_features(args.features)
-    model, opt, reports = train(samples, cfg)
+    model, opt, reports = train(load_features(args.features).features, cfg)
     _write_metrics_csv(metrics_path, reports, zero_seconds=args.deterministic)
     save_checkpoint(ckpt_path, model, opt, epoch=cfg.epochs)
     last = reports[-1] if reports else None
@@ -263,13 +237,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.per_query and not args.out_dir:
+        raise ConfigError("--per-query needs --out-dir to write per_query.csv into")
     model = None
     if args.checkpoint:
         model, _, _ = load_checkpoint(args.checkpoint)
-    query_samples = load_features(args.query)
-    gallery_samples = load_features(args.gallery)
-    result = _evaluate_sets(query_samples, gallery_samples, model=model,
-                            junk_filter=not args.no_junk_filter)
+    result = _evaluate_sets(load_features(args.query), load_features(args.gallery),
+                            model=model, junk_filter=not args.no_junk_filter)
     metrics = result.metrics()
     if args.out_dir:
         out_dir = Path(args.out_dir)
@@ -300,8 +274,7 @@ def _ablate_run(payload):
         _limit_blas_threads(1)
     cfg_dict = dict(cfg_dict, mu=mu, seed=seed)
     cfg = TrainConfig.from_dict(cfg_dict)
-    samples = load_features(features_path)
-    model, _, _ = train(samples, cfg)
+    model, _, _ = train(load_features(features_path).features, cfg)
     result = _evaluate_sets(load_features(query_path),
                             load_features(gallery_path), model=model)
     return (mu, seed, result.metrics())

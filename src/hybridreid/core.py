@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -44,17 +44,34 @@ class EvaluationError(HybridReidError, ValueError):
     """Retrieval evaluation could not score a single query."""
 
 
-@dataclass
-class Sample:
-    """One data point: raw input vector plus evaluation-only metadata.
+@dataclass(frozen=True, eq=False)
+class FeatureSet:
+    """The contents of a feature file: an N x D_in float32 ``features``
+    matrix and the identity (``ids``) and camera (``cams``) of each row.
 
-    ``identity`` is ground truth and must only be consulted by the
-    evaluator and the synthetic generator, never by training code.
+    ``ids`` is ground truth and must only be consulted by the evaluator and
+    the synthetic generator; training code takes ``features`` alone.
     """
 
-    feature: np.ndarray
-    identity: int
-    camera: int
+    features: np.ndarray
+    ids: np.ndarray
+    cams: np.ndarray
+
+    def __post_init__(self):
+        # no-op conversions for the arrays load_features hands over
+        features = np.asarray(self.features, dtype=np.float32)
+        ids = np.asarray(self.ids, dtype=np.int64)
+        cams = np.asarray(self.cams)
+        if features.ndim != 2:
+            raise ValueError(f"features must be N x D, got shape {features.shape}")
+        n = features.shape[0]
+        if ids.shape != (n,) or cams.shape != (n,):
+            raise ValueError(
+                f"ids {ids.shape} and cams {cams.shape} must both have shape ({n},)"
+            )
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "cams", cams)
 
 
 @dataclass
@@ -109,47 +126,29 @@ def l2_normalize(x, eps=1e-12):
     return x / np.sqrt(sq + eps)
 
 
-def features_matrix(samples) -> np.ndarray:
-    """Stack sample features into an N x D_in float64 matrix."""
-    if not samples:
-        return np.zeros((0, 0), dtype=np.float64)
-    return np.stack([np.asarray(s.feature, dtype=np.float64) for s in samples])
-
-
-def identities(samples) -> np.ndarray:
-    return np.array([s.identity for s in samples], dtype=np.int64)
-
-
-def cameras(samples) -> np.ndarray:
-    return np.array([s.camera for s in samples], dtype=np.int64)
-
-
 def _record_dtype(dims: int) -> np.dtype:
     return np.dtype(
         [("feature", "<f4", (dims,)), ("identity", "<i8"), ("camera", "<u4")]
     )
 
 
-def save_features(samples, path):
-    """Write samples in the binary feature-file format.
+def save_features(fs: FeatureSet, path):
+    """Write a FeatureSet in the binary feature-file format.
 
     Layout (little-endian): magic ``HHCL``, u32 version, u64 N, u32 D_in,
     then N records of ``D_in x f32 | i64 identity | u32 camera``.
     """
-    n = len(samples)
-    dims = 0
-    if n > 0:
-        dims = int(np.asarray(samples[0].feature).shape[-1])
-        for i, s in enumerate(samples):
-            f = np.asarray(s.feature)
-            if f.ndim != 1 or f.shape[0] != dims:
-                raise ValueError(
-                    f"sample {i} has feature dim {f.shape}, expected ({dims},)"
-                )
-            if not np.all(np.isfinite(f)):
-                raise NumericError(f"sample {i} has non-finite feature entries")
-            if s.camera < 0:
-                raise ValueError(f"sample {i} has negative camera id {s.camera}")
+    n, dims = fs.features.shape
+    bad = np.flatnonzero(~np.isfinite(fs.features).all(axis=1))
+    if bad.size:
+        raise NumericError(f"sample {bad[0]} has non-finite feature entries")
+    bad = np.flatnonzero(fs.cams < 0)
+    if bad.size:
+        raise ValueError(f"sample {bad[0]} has negative camera id {fs.cams[bad[0]]}")
+    records = np.empty(n, dtype=_record_dtype(dims))
+    records["feature"] = fs.features
+    records["identity"] = fs.ids
+    records["camera"] = fs.cams
     header = (
         FEATURE_MAGIC
         + np.uint32(FEATURE_VERSION).tobytes()
@@ -158,19 +157,12 @@ def save_features(samples, path):
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        if n > 0:
-            records = np.empty(n, dtype=_record_dtype(dims))
-            for i, s in enumerate(samples):
-                records[i] = (
-                    np.asarray(s.feature, dtype=np.float32),
-                    s.identity,
-                    s.camera,
-                )
-            fh.write(records.tobytes())
+        fh.write(records.tobytes())
 
 
-def load_features(path):
-    """Read a binary feature file back into a list of Sample."""
+def load_features(path) -> FeatureSet:
+    """Read a binary feature file as a FeatureSet of read-only views into
+    the file's bytes."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 20:
@@ -182,33 +174,19 @@ def load_features(path):
         raise FileFormatError(f"{path}: unsupported version {version}")
     n = int(np.frombuffer(blob, dtype="<u8", count=1, offset=8)[0])
     dims = int(np.frombuffer(blob, dtype="<u4", count=1, offset=16)[0])
-    payload = blob[20:]
-    if n == 0:
-        if payload:
-            raise FileIOError(f"{path}: {len(payload)} trailing bytes after N=0")
-        return []
-    if dims == 0:
+    if n > 0 and dims == 0:
         raise FileFormatError(f"{path}: N={n} records with D_in=0")
     rec = _record_dtype(dims)
+    payload = len(blob) - 20
     expected = n * rec.itemsize
-    if len(payload) < expected:
-        raise FileIOError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected}"
-        )
-    if len(payload) > expected:
-        raise FileIOError(f"{path}: {len(payload) - expected} trailing bytes")
-    records = np.frombuffer(payload, dtype=rec, count=n)
-    feats = records["feature"]
-    if not np.all(np.isfinite(feats)):
+    if payload < expected:
+        raise FileIOError(f"{path}: payload has {payload} bytes, expected {expected}")
+    if payload > expected:
+        raise FileIOError(f"{path}: {payload - expected} trailing bytes after N={n}")
+    records = np.frombuffer(blob, dtype=rec, count=n, offset=20)
+    if not np.all(np.isfinite(records["feature"])):
         raise NumericError(f"{path}: non-finite feature entries")
-    return [
-        Sample(
-            feature=feats[i].copy(),
-            identity=int(records["identity"][i]),
-            camera=int(records["camera"][i]),
-        )
-        for i in range(n)
-    ]
+    return FeatureSet(records["feature"], records["identity"], records["camera"])
 
 
 @dataclass
@@ -237,9 +215,7 @@ class TrainConfig:
     hidden_dims: tuple = (128, 64)
 
     def to_dict(self):
-        d = dataclasses.asdict(self)
-        d["hidden_dims"] = list(self.hidden_dims)
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
@@ -248,7 +224,7 @@ class TrainConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
         kwargs = dict(data)
-        if "hidden_dims" in kwargs:
+        if isinstance(kwargs.get("hidden_dims"), list):
             kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
         return cls(**kwargs)
 
@@ -269,53 +245,53 @@ class TrainConfig:
             fh.write("\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _has_field_type(value, kind) -> bool:
+    """Whether ``value`` suits a TrainConfig field whose default has type
+    ``kind``: int fields take non-bool integers, float fields also floats,
+    and the tuple field a list or tuple of integers."""
+    if kind is tuple:
+        return isinstance(value, (tuple, list)) and all(map(_is_int, value))
+    if kind is float and isinstance(value, (float, np.floating)):
+        return True
+    return _is_int(value)
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", tuple: "a list of integers"}
+
+
 def validate_config(cfg: TrainConfig, num_samples: int = None):
     """Raise ConfigError naming every violated field; given ``num_samples``
-    and otherwise valid fields, also require ``kreciprocal_k`` below it."""
+    and otherwise valid fields, also require ``kreciprocal_k`` below it.
+    A field's range is checked only once its type is right."""
     problems = []
+    typed = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if _has_field_type(value, type(f.default)):
+            typed[f.name] = value
+        else:
+            problems.append(f"{f.name} must be {_TYPE_NAMES[type(f.default)]}, got {value!r}")
 
-    def unit_interval(name):
-        v = getattr(cfg, name)
-        if not (np.isfinite(v) and 0.0 <= v <= 1.0):
-            problems.append(f"{name} must be in [0, 1], got {v}")
+    def require(names, ok, rule):
+        for name in names:
+            if name in typed and not ok(typed[name]):
+                problems.append(f"{name} must be {rule}, got {typed[name]}")
 
-    def positive(name):
-        v = getattr(cfg, name)
-        if not (np.isfinite(v) and v > 0):
-            problems.append(f"{name} must be > 0, got {v}")
-
-    def positive_int(name):
-        v = getattr(cfg, name)
-        if not (isinstance(v, (int, np.integer)) and v >= 1):
-            problems.append(f"{name} must be an integer >= 1, got {v}")
-
-    unit_interval("mu")
-    unit_interval("alpha")
-    positive("tau_c")
-    positive("tau_ins")
-    positive("lr")
-    positive_int("num_identities_per_batch")
-    positive_int("instances_per_identity")
-    positive_int("slots_per_cluster")
-    positive_int("epochs")
-    positive_int("lr_decay_every")
-    positive_int("dbscan_min_pts")
-    positive_int("kreciprocal_k")
+    require(("mu", "alpha"), lambda v: 0 <= v <= 1, "in [0, 1]")
+    require(("tau_c", "tau_ins", "lr"), lambda v: 0 < v < np.inf, "> 0")
+    require(("num_identities_per_batch", "instances_per_identity", "slots_per_cluster",
+             "epochs", "lr_decay_every", "dbscan_min_pts", "kreciprocal_k"),
+            lambda v: v >= 1, ">= 1")
     # Jaccard distances are at most 1, and pairs at distance 1 are not stored.
-    if not 0 < cfg.dbscan_eps < 1:
-        problems.append(f"dbscan_eps must be in (0, 1), got {cfg.dbscan_eps}")
-    if not (np.isfinite(cfg.weight_decay) and cfg.weight_decay >= 0):
-        problems.append(f"weight_decay must be >= 0, got {cfg.weight_decay}")
-    if not (np.isfinite(cfg.lr_decay_factor) and 0 < cfg.lr_decay_factor <= 1):
-        problems.append(
-            f"lr_decay_factor must be in (0, 1], got {cfg.lr_decay_factor}"
-        )
-    if not isinstance(cfg.seed, (int, np.integer)) or cfg.seed < 0:
-        problems.append(f"seed must be a non-negative integer, got {cfg.seed}")
-    if not cfg.hidden_dims or any(
-        not isinstance(h, (int, np.integer)) or h < 1 for h in cfg.hidden_dims
-    ):
-        problems.append(f"hidden_dims must be positive integers, got {cfg.hidden_dims}")
+    require(("dbscan_eps",), lambda v: 0 < v < 1, "in (0, 1)")
+    require(("weight_decay",), lambda v: 0 <= v < np.inf, ">= 0")
+    require(("lr_decay_factor",), lambda v: 0 < v <= 1, "in (0, 1]")
+    require(("seed",), lambda v: v >= 0, ">= 0")
+    require(("hidden_dims",), lambda v: len(v) > 0 and min(v) >= 1, "positive integers")
     if not problems and num_samples is not None and cfg.kreciprocal_k >= num_samples:
         problems.append(f"kreciprocal_k must be < {num_samples} samples, got {cfg.kreciprocal_k}")
     if problems:

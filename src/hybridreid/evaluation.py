@@ -12,6 +12,8 @@ from scipy.spatial.distance import cdist
 from .core import EvaluationError
 
 DEFAULT_RANKS = (1, 5, 10)
+# Queries scored together; bounds the scoring temporaries to QUERY_BLOCK x G.
+QUERY_BLOCK = 256
 
 
 @dataclass
@@ -45,90 +47,44 @@ def rank_gallery(query_emb, gallery_emb) -> np.ndarray:
     return np.argsort(dist, axis=1, kind="stable")
 
 
-def _relevance(ranking, q_id, q_cam, g_ids, g_cams, junk_filter):
-    """Ordered relevance flags after junk removal for one query."""
-    ranked_ids = g_ids[ranking]
-    ranked_cams = g_cams[ranking]
-    if junk_filter:
-        keep = ~((ranked_ids == q_id) & (ranked_cams == q_cam))
-    else:
-        keep = np.ones(ranking.shape[0], dtype=bool)
-    return (ranked_ids[keep] == q_id)
-
-
-def average_precision(relevant: np.ndarray):
-    """Discrete AP over an ordered 0/1 relevance vector; None if no relevant."""
-    total = int(relevant.sum())
-    if total == 0:
-        return None
-    hits = np.cumsum(relevant)
-    precisions = hits[relevant] / (np.flatnonzero(relevant) + 1.0)
-    return float(precisions.sum() / total)
-
-
-def mean_average_precision(
-    rankings, q_ids, q_cams, g_ids, g_cams, junk_filter=True
-) -> float:
-    """mAP over queries that keep at least one relevant gallery item."""
-    q_ids = np.asarray(q_ids)
-    q_cams = np.asarray(q_cams)
-    g_ids = np.asarray(g_ids)
-    g_cams = np.asarray(g_cams)
-    aps = []
-    for qi, ranking in enumerate(rankings):
-        rel = _relevance(ranking, q_ids[qi], q_cams[qi], g_ids, g_cams, junk_filter)
-        ap = average_precision(rel)
-        if ap is not None:
-            aps.append(ap)
-    if not aps:
-        raise EvaluationError("no query has a relevant gallery item after filtering")
-    return float(np.mean(aps))
-
-
-def cmc_curve(rankings, q_ids, q_cams, g_ids, g_cams, ks=DEFAULT_RANKS,
-              junk_filter=True) -> dict:
-    """Rank-k accuracies: the fraction of valid queries whose first relevant
-    match appears within the top k after junk filtering."""
-    q_ids = np.asarray(q_ids)
-    q_cams = np.asarray(q_cams)
-    g_ids = np.asarray(g_ids)
-    g_cams = np.asarray(g_cams)
-    first_hits = []
-    for qi, ranking in enumerate(rankings):
-        rel = _relevance(ranking, q_ids[qi], q_cams[qi], g_ids, g_cams, junk_filter)
-        hits = np.flatnonzero(rel)
-        if hits.size:
-            first_hits.append(hits[0] + 1)  # 1-based rank
-    if not first_hits:
-        raise EvaluationError("no query has a relevant gallery item after filtering")
-    first_hits = np.asarray(first_hits)
-    return {int(k): float(np.mean(first_hits <= k)) for k in ks}
-
-
 def evaluate_retrieval(
     query_emb, gallery_emb, q_ids, q_cams, g_ids, g_cams,
     ks=DEFAULT_RANKS, junk_filter=True,
 ) -> RetrievalResult:
-    """Rank the gallery for every query and aggregate mAP and CMC."""
+    """Rank the gallery for every query, then score AP and CMC together
+    from the ranked positions of each query's same-identity items."""
     rankings = rank_gallery(query_emb, gallery_emb)
-    q_ids = np.asarray(q_ids)
-    q_cams = np.asarray(q_cams)
-    g_ids = np.asarray(g_ids)
-    g_cams = np.asarray(g_cams)
-    aps = np.full(rankings.shape[0], np.nan)
-    for qi in range(rankings.shape[0]):
-        rel = _relevance(
-            rankings[qi], q_ids[qi], q_cams[qi], g_ids, g_cams, junk_filter
-        )
-        ap = average_precision(rel)
-        if ap is not None:
-            aps[qi] = ap
-    if np.all(np.isnan(aps)):
+    q_ids, q_cams, g_ids, g_cams = map(np.asarray, (q_ids, q_cams, g_ids, g_cams))
+    num_q = rankings.shape[0]
+    aps = np.full(num_q, np.nan)
+    first_hits = np.zeros(num_q, dtype=np.int64)  # 1-based rank; 0 for no match
+    for lo in range(0, num_q, QUERY_BLOCK):
+        block = rankings[lo:lo + QUERY_BLOCK]
+        n = block.shape[0]
+        # same-identity entries, ordered by query and then by rank
+        row, col = np.nonzero(g_ids[block] == q_ids[lo:lo + n, None])
+        if junk_filter:
+            junk = g_cams[block[row, col]] == q_cams[lo:lo + n][row]
+        else:
+            junk = np.zeros(row.size, dtype=bool)
+        row_start = np.searchsorted(row, row)
+        junk_before = np.cumsum(junk) - junk
+        junk_before -= junk_before[row_start]
+        hit = ~junk
+        rank = (col - junk_before + 1)[hit]  # among the items junk filtering keeps
+        hit_no = (np.arange(row.size) - row_start - junk_before + 1)[hit]
+        row = row[hit]
+        total = np.bincount(row, minlength=n)
+        valid = np.flatnonzero(total)
+        precision_sum = np.bincount(row, weights=hit_no / rank, minlength=n)
+        aps[lo + valid] = precision_sum[valid] / total[valid]
+        first_hits[lo + valid] = rank[np.searchsorted(row, valid)]
+    first_hits = first_hits[first_hits > 0]
+    if first_hits.size == 0:
         raise EvaluationError("no query has a relevant gallery item after filtering")
-    cmc = cmc_curve(rankings, q_ids, q_cams, g_ids, g_cams, ks, junk_filter)
     return RetrievalResult(
         rankings=rankings,
         average_precisions=aps,
-        cmc=cmc,
+        cmc={int(k): float(np.mean(first_hits <= k)) for k in ks},
         map=float(np.nanmean(aps)),
     )

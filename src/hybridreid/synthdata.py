@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, Sample, l2_normalize
+from .core import ConfigError, FeatureSet, l2_normalize
 
 QUERY_CAMERAS = 2  # queries drawn from this many cameras per identity
 GALLERY_PER_CAMERA = 2
@@ -74,7 +74,7 @@ def _sample_prototypes(spec: SynthSpec, rng) -> np.ndarray:
 
 
 def generate(spec: SynthSpec):
-    """Build (train, query, gallery) sample lists from a SynthSpec.
+    """Build (train, query, gallery) FeatureSets from a SynthSpec.
 
     Deterministic given the seed. Queries come from two cameras and the
     gallery covers every camera per identity, so junk filtering always
@@ -87,27 +87,16 @@ def generate(spec: SynthSpec):
         (spec.num_identities, spec.num_cameras, spec.dims)
     ) * spec.sigma_cam
 
-    def make(identity, camera):
-        noise = rng.standard_normal(spec.dims) * spec.sigma_within
-        vec = l2_normalize(protos[identity] + offsets[identity, camera] + noise)
-        return Sample(
-            feature=vec.astype(np.float32), identity=identity, camera=camera
-        )
+    def make(per_identity_cams):
+        """Every identity once per entry of ``per_identity_cams``."""
+        ids = np.repeat(np.arange(spec.num_identities), per_identity_cams.size)
+        cams = np.tile(per_identity_cams, spec.num_identities)
+        noise = rng.standard_normal((ids.size, spec.dims)) * spec.sigma_within
+        feats = l2_normalize(protos[ids] + offsets[ids, cams] + noise)
+        return FeatureSet(feats.astype(np.float32), ids, cams)
 
-    train = [
-        make(i, j % spec.num_cameras)
-        for i in range(spec.num_identities)
-        for j in range(spec.instances_per_identity)
-    ]
-    query = [
-        make(i, cam)
-        for i in range(spec.num_identities)
-        for cam in range(QUERY_CAMERAS)
-    ]
-    gallery = [
-        make(i, cam)
-        for i in range(spec.num_identities)
-        for cam in range(spec.num_cameras)
-        for _ in range(GALLERY_PER_CAMERA)
-    ]
+    cams = np.arange(spec.num_cameras)
+    train = make(np.arange(spec.instances_per_identity) % spec.num_cameras)
+    query = make(cams[:QUERY_CAMERAS])
+    gallery = make(np.repeat(cams, GALLERY_PER_CAMERA))
     return train, query, gallery

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import pseudo_label
-from .core import ClusteringCollapseError, TrainConfig, features_matrix, validate_config
+from .core import ClusteringCollapseError, TrainConfig, validate_config
 from .encoder import AdamState, MLPEncoder, adam_step
 from .loss import cluster_loss, hard_instance_loss
 from .memory import (
@@ -45,12 +45,10 @@ class EpochReport:
     seconds: float
 
 
-def embed_all(model: MLPEncoder, samples, chunk_size: int = EMBED_CHUNK) -> np.ndarray:
-    """Embed every sample in fixed-size chunks; returns (N, D) float64."""
-    if isinstance(samples, np.ndarray):
-        feats = np.ascontiguousarray(samples, dtype=np.float64)
-    else:
-        feats = features_matrix(samples)
+def embed_all(model: MLPEncoder, features, chunk_size: int = EMBED_CHUNK) -> np.ndarray:
+    """Embed the rows of an N x D_in feature matrix in fixed-size chunks;
+    returns (N, D) float64."""
+    feats = np.ascontiguousarray(features, dtype=np.float64)
     out = np.empty((feats.shape[0], model.widths[-1]))
     for start in range(0, feats.shape[0], chunk_size):
         stop = min(start + chunk_size, feats.shape[0])
@@ -64,14 +62,15 @@ def _log(event_log, epoch, iteration, name):
         event_log.append((epoch, iteration, name))
 
 
-def train(samples, cfg: TrainConfig, model: MLPEncoder = None, event_log=None):
-    """Run the full schedule on ``samples``; returns (model, opt, reports).
+def train(features, cfg: TrainConfig, model: MLPEncoder = None, event_log=None):
+    """Run the full schedule on an N x D_in feature matrix; returns (model,
+    opt, reports). Training sees no identity or camera labels.
 
     ``event_log``, when given a list, records (epoch, iteration, name)
     tuples for the loss reads, optimizer step and bank writes of every
     batch, in execution order.
     """
-    feats = features_matrix(samples)
+    feats = np.ascontiguousarray(features, dtype=np.float64)
     n, d_in = feats.shape
     validate_config(cfg, num_samples=n)
     if model is None:

@@ -165,39 +165,50 @@ def ref_members_of(assignment, cluster):
     return [i for i, a in enumerate(assignment) if a == cluster]
 
 
+def ref_relevance(ranking, q_id, q_cam, g_ids, g_cams, junk_filter=True):
+    """One query's ranked relevance flags after removing same-id
+    same-camera (junk) gallery items."""
+    return [
+        g_ids[j] == q_id for j in ranking
+        if not (junk_filter and g_ids[j] == q_id and g_cams[j] == q_cam)
+    ]
+
+
+def ref_average_precision(relevant):
+    """Discrete AP over an ordered relevance list; None if none is relevant."""
+    hits = 0
+    precisions = []
+    for pos, r in enumerate(relevant, start=1):
+        if r:
+            hits += 1
+            precisions.append(hits / pos)
+    if not precisions:
+        return None
+    return sum(precisions) / len(precisions)
+
+
+def ref_cmc(relevances, ks=(1, 5, 10)):
+    """Rank-k accuracy over the queries with at least one relevant item."""
+    first_hits = [rel.index(True) + 1 for rel in relevances if any(rel)]
+    if not first_hits:
+        raise ValueError("every query was filtered out")
+    return {k: sum(1 for f in first_hits if f <= k) / len(first_hits) for k in ks}
+
+
 def ref_evaluate(q_emb, g_emb, q_ids, q_cams, g_ids, g_cams, ks=(1, 5, 10),
                  junk_filter=True):
     """Single-query retrieval protocol, one query at a time.
 
     Returns (mAP, cmc dict, per-query AP list with None for skipped).
     """
-    aps = []
-    kept_aps = []
-    first_hits = []
+    relevances = []
     for qi in range(len(q_ids)):
         d = np.sqrt(((np.asarray(g_emb) - np.asarray(q_emb)[qi]) ** 2).sum(axis=1))
         order = sorted(range(len(g_ids)), key=lambda j: (d[j], j))
-        if junk_filter:
-            order = [
-                j for j in order
-                if not (g_ids[j] == q_ids[qi] and g_cams[j] == q_cams[qi])
-            ]
-        rel = [1 if g_ids[j] == q_ids[qi] else 0 for j in order]
-        if sum(rel) == 0:
-            aps.append(None)
-            continue
-        hits = 0
-        precisions = []
-        for pos, r in enumerate(rel, start=1):
-            if r:
-                hits += 1
-                precisions.append(hits / pos)
-        ap = sum(precisions) / len(precisions)
-        aps.append(ap)
-        kept_aps.append(ap)
-        first_hits.append(rel.index(1) + 1)
-    if not kept_aps:
-        raise ValueError("every query was filtered out")
-    m_ap = sum(kept_aps) / len(kept_aps)
-    cmc = {k: sum(1 for f in first_hits if f <= k) / len(first_hits) for k in ks}
-    return m_ap, cmc, aps
+        relevances.append(
+            ref_relevance(order, q_ids[qi], q_cams[qi], g_ids, g_cams, junk_filter)
+        )
+    aps = [ref_average_precision(rel) for rel in relevances]
+    cmc = ref_cmc(relevances, ks)
+    kept_aps = [ap for ap in aps if ap is not None]
+    return sum(kept_aps) / len(kept_aps), cmc, aps

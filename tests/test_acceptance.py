@@ -39,7 +39,6 @@ from hybridreid import (
     update_instance_bank,
 )
 from hybridreid.cli import main
-from hybridreid.core import cameras, identities
 from hybridreid.encoder import MLPEncoder
 from hybridreid.memory import hard_keys
 from hybridreid.trainer import embed_all
@@ -274,12 +273,12 @@ def test_criterion_4_end_to_end_learning(capsys):
         )
         train_s, query_s, gallery_s = generate(spec)
         cfg = TrainConfig(epochs=20, seed=seed)  # defaults, mu = 0.5
-        model, _, _ = train(train_s, cfg)
+        model, _, _ = train(train_s.features, cfg)
         res = evaluate_retrieval(
-            embed_all(model, query_s),
-            embed_all(model, gallery_s),
-            identities(query_s), cameras(query_s),
-            identities(gallery_s), cameras(gallery_s),
+            embed_all(model, query_s.features),
+            embed_all(model, gallery_s.features),
+            query_s.ids, query_s.cams,
+            gallery_s.ids, gallery_s.cams,
         )
         maps.append(res.metrics()["mAP"])
         rank1s.append(res.metrics()["rank1"])

@@ -8,7 +8,6 @@ import pytest
 
 from hybridreid import TrainConfig, l2_normalize, load_checkpoint, load_features, pseudo_label
 from hybridreid.cli import main
-from hybridreid.core import features_matrix
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +36,8 @@ TRAIN_FLAGS = [
 class TestGenData:
     def test_writes_loadable_splits_and_manifest(self, dataset_dir):
         for name, count in (("train", 32), ("query", 8), ("gallery", 16)):
-            samples = load_features(dataset_dir / f"{name}.feat")
-            assert len(samples) == count
+            fs = load_features(dataset_dir / f"{name}.feat")
+            assert fs.features.shape == (count, 8)
         manifest = json.loads((dataset_dir / "manifest.json").read_text())
         assert manifest["command"] == "gen-data"
         assert manifest["seed"] == 11
@@ -65,10 +64,8 @@ class TestCluster:
             rows = list(csv.reader(fh))
         assert rows[0] == ["sample_index", "cluster_id"]
         got = {int(r[0]): int(r[1]) for r in rows[1:]}
-        samples = load_features(dataset_dir / "train.feat")
-        want = pseudo_label(
-            l2_normalize(features_matrix(samples)), k=7, eps=0.45, min_pts=4
-        )
+        fs = load_features(dataset_dir / "train.feat")
+        want = pseudo_label(l2_normalize(fs.features), k=7, eps=0.45, min_pts=4)
         assert got == {i: int(c) for i, c in enumerate(want.assignment)}
 
     def test_manifest_written_before_failing_work(self, dataset_dir, tmp_path,
@@ -227,6 +224,16 @@ class TestEvaluate:
         # same-camera twins become easy rank-1 matches when kept
         assert unfiltered["rank1"] >= filtered["rank1"]
 
+    def test_per_query_without_out_dir_exits_2_before_loading(self, tmp_path,
+                                                              capsys):
+        # the inputs do not exist: the flag check must come first
+        rc = main([
+            "evaluate", "--query", str(tmp_path / "absent_q.feat"),
+            "--gallery", str(tmp_path / "absent_g.feat"), "--per-query",
+        ])
+        assert rc == 2
+        assert "--out-dir" in capsys.readouterr().err
+
     def test_dim_mismatch_exits_2(self, dataset_dir, tmp_path, capsys):
         other = tmp_path / "other"
         assert main([
@@ -267,6 +274,35 @@ class TestExitCodes:
         ])
         assert rc == 2
         assert "mu" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("lr", "0.1"), ("dbscan_eps", "0.4"), ("mu", None), ("hidden_dims", 5),
+        ("seed", True),
+    ])
+    def test_mistyped_config_value_exits_2(self, dataset_dir, tmp_path, capsys,
+                                           field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        rc = main(["train", "--features", str(dataset_dir / "train.feat"),
+                   "--out-dir", str(tmp_path / "o"), "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    def test_config_flag_types_follow_train_config(self, dataset_dir, tmp_path,
+                                                   capsys):
+        # int fields reject a float on the command line, float fields take one
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--features", str(dataset_dir / "train.feat"),
+                  "--out-dir", str(tmp_path / "o"), "--epochs", "1.5"])
+        assert exc.value.code == 2
+        out = tmp_path / "ok"
+        assert main(["train", "--features", str(dataset_dir / "train.feat"),
+                     "--out-dir", str(out), *TRAIN_FLAGS, "--alpha", "1"]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["alpha"] == 1.0 and isinstance(config["alpha"], float)
+        assert config["epochs"] == 2 and config["hidden_dims"] == [128, 64]
+        capsys.readouterr()
 
     def test_kreciprocal_k_at_least_n_exits_2_before_embedding(
             self, dataset_dir, tmp_path, capsys, monkeypatch):

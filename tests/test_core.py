@@ -9,20 +9,20 @@ from hypothesis.extra import numpy as hnp
 from hybridreid import (
     OUTLIER,
     ConfigError,
+    FeatureSet,
     FileFormatError,
     FileIOError,
     NumericError,
     PseudoLabeling,
-    Sample,
     TrainConfig,
     l2_normalize,
     load_features,
     save_features,
     validate_config,
 )
-from hybridreid.core import FEATURE_MAGIC, features_matrix
+from hybridreid.core import FEATURE_MAGIC
 
-from conftest import make_samples
+from conftest import make_feature_set
 from oracles import ref_members_of
 
 
@@ -93,27 +93,46 @@ class TestPseudoLabeling:
 
 class TestFeatureFile:
     def test_round_trip_bitwise(self, rng, tmp_path):
-        samples = make_samples(rng)
+        fs = make_feature_set(rng)
         path = tmp_path / "x.feat"
-        save_features(samples, path)
+        save_features(fs, path)
         back = load_features(path)
-        assert len(back) == len(samples)
-        for a, b in zip(samples, back):
-            assert a.feature.dtype == b.feature.dtype == np.float32
-            assert a.feature.tobytes() == b.feature.tobytes()
-            assert a.identity == b.identity
-            assert a.camera == b.camera
+        assert fs.features.dtype == back.features.dtype == np.float32
+        assert fs.features.tobytes() == back.features.tobytes()
+        assert back.ids.tolist() == fs.ids.tolist()
+        assert back.cams.tolist() == fs.cams.tolist()
+
+    def test_load_is_zero_copy(self, rng, tmp_path):
+        path = tmp_path / "x.feat"
+        save_features(make_feature_set(rng), path)
+        back = load_features(path)
+        # all three columns are views of one record array over the file's bytes
+        records = back.features.base
+        assert back.ids.base is records and back.cams.base is records
+        assert isinstance(records.base, bytes)
+        assert not back.features.flags.writeable
+
+    def test_rewrite_is_byte_identical(self, rng, tmp_path):
+        fs = make_feature_set(rng, cameras=3)
+        fs = FeatureSet(fs.features, fs.ids - 2, fs.cams + 2**31)
+        path = tmp_path / "x.feat"
+        save_features(fs, path)
+        before = path.read_bytes()
+        save_features(load_features(path), path)
+        assert path.read_bytes() == before
 
     def test_empty_list_round_trip(self, tmp_path):
         path = tmp_path / "empty.feat"
-        save_features([], path)
-        assert load_features(path) == []
+        save_features(FeatureSet(np.zeros((0, 3)), [], []), path)
+        back = load_features(path)
+        assert back.features.shape == (0, 3)
+        assert back.ids.size == back.cams.size == 0
 
     def test_deterministic_bytes(self, rng, tmp_path):
-        samples = make_samples(rng)
+        fs = make_feature_set(rng)
         p1, p2 = tmp_path / "a.feat", tmp_path / "b.feat"
-        save_features(samples, p1)
-        save_features(samples, p2)
+        save_features(fs, p1)
+        save_features(fs, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic(self, tmp_path):
@@ -124,7 +143,7 @@ class TestFeatureFile:
 
     def test_bad_version(self, rng, tmp_path):
         path = tmp_path / "v.feat"
-        save_features(make_samples(rng), path)
+        save_features(make_feature_set(rng), path)
         blob = bytearray(path.read_bytes())
         blob[4] = 99
         path.write_bytes(bytes(blob))
@@ -133,7 +152,7 @@ class TestFeatureFile:
 
     def test_truncated_payload(self, rng, tmp_path):
         path = tmp_path / "t.feat"
-        save_features(make_samples(rng), path)
+        save_features(make_feature_set(rng), path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
         with pytest.raises(FileIOError):
@@ -141,7 +160,7 @@ class TestFeatureFile:
 
     def test_trailing_bytes(self, rng, tmp_path):
         path = tmp_path / "t.feat"
-        save_features(make_samples(rng), path)
+        save_features(make_feature_set(rng), path)
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(FileIOError):
             load_features(path)
@@ -152,10 +171,17 @@ class TestFeatureFile:
         with pytest.raises(FileIOError):
             load_features(path)
 
+    def test_records_without_feature_width_rejected(self, tmp_path):
+        path = tmp_path / "w.feat"
+        path.write_bytes(FEATURE_MAGIC + np.array([1], "<u4").tobytes()
+                         + np.array([2], "<u8").tobytes() + bytes(4 + 24))
+        with pytest.raises(FileFormatError):
+            load_features(path)
+
     def test_nan_payload_rejected_on_load(self, rng, tmp_path):
-        samples = make_samples(rng, num_identities=1, per_identity=2, dims=4)
+        fs = make_feature_set(rng, num_identities=1, per_identity=2, dims=4)
         path = tmp_path / "n.feat"
-        save_features(samples, path)
+        save_features(fs, path)
         blob = bytearray(path.read_bytes())
         # first float of the first record
         blob[20:24] = np.float32(np.nan).tobytes()
@@ -164,47 +190,34 @@ class TestFeatureFile:
             load_features(path)
 
     def test_nan_feature_rejected_on_save(self, tmp_path):
-        s = Sample(feature=np.array([1.0, np.nan], dtype=np.float32),
-                   identity=0, camera=0)
-        with pytest.raises(NumericError):
-            save_features([s], tmp_path / "n.feat")
+        fs = FeatureSet(np.array([[0.0, 1.0], [1.0, np.nan]]), [0, 1], [0, 0])
+        with pytest.raises(NumericError, match="sample 1"):
+            save_features(fs, tmp_path / "n.feat")
 
-    def test_ragged_features_rejected(self, tmp_path):
-        samples = [
-            Sample(np.zeros(3, dtype=np.float32), 0, 0),
-            Sample(np.zeros(4, dtype=np.float32), 1, 0),
-        ]
+    def test_negative_camera_rejected_on_save(self, tmp_path):
+        fs = FeatureSet(np.ones((2, 2)), [0, 1], [0, -1])
+        with pytest.raises(ValueError, match="sample 1"):
+            save_features(fs, tmp_path / "c.feat")
+
+    def test_ragged_features_rejected(self):
         with pytest.raises(ValueError):
-            save_features(samples, tmp_path / "r.feat")
+            FeatureSet([np.zeros(3), np.zeros(4)], [0, 1], [0, 0])
+        with pytest.raises(ValueError):
+            FeatureSet(np.zeros(3), [0, 1, 2], [0, 0, 0])
+        with pytest.raises(ValueError):
+            FeatureSet(np.zeros((2, 3)), [0], [0, 0])
+        with pytest.raises(ValueError):
+            FeatureSet(np.zeros((2, 3)), [0, 1], [0])
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_features(tmp_path / "absent.feat")
 
     def test_negative_identity_survives(self, tmp_path):
-        s = Sample(np.ones(2, dtype=np.float32), identity=-5, camera=1)
+        fs = FeatureSet(np.ones((1, 2)), [-5], [1])
         path = tmp_path / "neg.feat"
-        save_features([s], path)
-        assert load_features(path)[0].identity == -5
-
-
-def test_features_matrix_uses_only_feature_attribute():
-    class Opaque:
-        """Stands in for a sample whose labels must never be read."""
-
-        def __init__(self, feature):
-            self.feature = feature
-
-        @property
-        def identity(self):
-            raise AssertionError("identity consulted")
-
-        @property
-        def camera(self):
-            raise AssertionError("camera consulted")
-
-    mat = features_matrix([Opaque(np.arange(3.0)), Opaque(np.ones(3))])
-    assert mat.shape == (2, 3)
+        save_features(fs, path)
+        assert load_features(path).ids.tolist() == [-5]
 
 
 class TestTrainConfig:
@@ -267,6 +280,13 @@ class TestTrainConfig:
             ("hidden_dims", ()),
             ("hidden_dims", (0,)),
             ("mu", float("nan")),
+            ("lr", "0.1"),
+            ("dbscan_eps", "0.4"),
+            ("mu", None),
+            ("hidden_dims", 5),
+            ("hidden_dims", (16, 8.0)),
+            ("seed", True),
+            ("epochs", 2.0),
         ],
     )
     def test_single_field_violations(self, field, value):
@@ -274,6 +294,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigError) as exc:
             validate_config(cfg)
         assert field in str(exc.value)
+
+    def test_numbers_of_either_kind_accepted(self):
+        validate_config(TrainConfig(mu=1, lr=np.float32(1e-3), epochs=np.int64(3),
+                                    hidden_dims=[np.int32(8)]))
 
     def test_kreciprocal_k_checked_against_sample_count(self):
         cfg = TrainConfig(kreciprocal_k=30)

@@ -1,21 +1,41 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hybridreid import EvaluationError, evaluate_retrieval, l2_normalize
-from hybridreid.evaluation import (
-    average_precision,
-    cmc_curve,
-    mean_average_precision,
-    rank_gallery,
+from hybridreid import EvaluationError, evaluate_retrieval, evaluation, l2_normalize
+from hybridreid.evaluation import rank_gallery
+
+from oracles import (
+    ref_average_precision,
+    ref_cmc,
+    ref_evaluate,
+    ref_relevance,
 )
-
-from oracles import ref_evaluate
 
 
 def embed_on_line(values):
     """1-d points lifted to 2-d unit-ish vectors keeping their order."""
     v = np.asarray(values, dtype=np.float64)
     return np.stack([v, np.ones_like(v)], axis=1)
+
+
+def average_precision(relevant):
+    """Query 0's AP from evaluate_retrieval on a gallery laid out on a line
+    in the order of ``relevant`` (NaN when nothing is relevant), checked
+    against the reference form. A second query, matched by a far gallery
+    item that ranks last for query 0, keeps the evaluation scorable."""
+    n = len(relevant)
+    q = embed_on_line([0.0, 100.0])
+    g = embed_on_line([*range(1, n + 1), 100.0])
+    g_ids = [1 if r else 2 for r in relevant] + [3]
+    res = evaluate_retrieval(q, g, [1, 3], [0, 0], g_ids, [1] * (n + 1))
+    ap = res.average_precisions[0]
+    ref = ref_average_precision(relevant)
+    assert np.isnan(ap) if ref is None else abs(ap - ref) < 1e-15
+    return ap
 
 
 class TestAveragePrecision:
@@ -28,7 +48,7 @@ class TestAveragePrecision:
         assert average_precision(np.array([True, True, False])) == 1.0
 
     def test_no_relevant_returns_none(self):
-        assert average_precision(np.array([False, False])) is None
+        assert np.isnan(average_precision(np.array([False, False])))
 
     def test_single_relevant_last(self):
         rel = np.array([False, False, False, True])
@@ -164,7 +184,11 @@ class TestAgainstBruteForce:
         q_cams = np.zeros(6, dtype=int)
         g_cams = np.ones(20, dtype=int)
         rankings = rank_gallery(q, g)
-        direct = mean_average_precision(rankings, q_ids, q_cams, g_ids, g_cams)
+        aps = [
+            ref_average_precision(ref_relevance(r, q_ids[i], q_cams[i], g_ids, g_cams))
+            for i, r in enumerate(rankings)
+        ]
+        direct = np.mean([ap for ap in aps if ap is not None])
         res = evaluate_retrieval(q, g, q_ids, q_cams, g_ids, g_cams)
         assert abs(direct - res.map) < 1e-15
 
@@ -176,9 +200,56 @@ class TestAgainstBruteForce:
         cams_q = np.zeros(5, dtype=int)
         cams_g = np.ones(15, dtype=int)
         rankings = rank_gallery(q, g)
-        cmc = cmc_curve(rankings, q_ids, cams_q, g_ids, cams_g)
+        cmc = ref_cmc([
+            ref_relevance(r, q_ids[i], cams_q[i], g_ids, cams_g)
+            for i, r in enumerate(rankings)
+        ])
         res = evaluate_retrieval(q, g, q_ids, cams_q, g_ids, cams_g)
         assert cmc == res.cmc
+
+
+@st.composite
+def tie_rich_retrieval(draw):
+    """Lattice points (exact distances, many ties), gallery rows drawn with
+    repeats, three ids and two cameras, so queries whose only matches are
+    junk and sets where every query is junk-only both occur."""
+    lattice = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    nq = draw(st.integers(1, 12))
+    distinct = draw(st.lists(lattice, min_size=1, max_size=8))
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=40))
+    ids, cams = st.integers(0, 2), st.integers(0, 1)
+    return (
+        np.array(draw(st.lists(lattice, min_size=nq, max_size=nq)), dtype=float),
+        np.array(rows, dtype=float),
+        np.array(draw(st.lists(ids, min_size=nq, max_size=nq))),
+        np.array(draw(st.lists(cams, min_size=nq, max_size=nq))),
+        np.array(draw(st.lists(ids, min_size=len(rows), max_size=len(rows)))),
+        np.array(draw(st.lists(cams, min_size=len(rows), max_size=len(rows)))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tie_rich_retrieval(), junk_filter=st.booleans(),
+       block=st.sampled_from([1, 2, 5, 256]))
+def test_single_pass_matches_per_query_reference(case, junk_filter, block):
+    try:
+        with mock.patch.object(evaluation, "QUERY_BLOCK", block):
+            res = evaluate_retrieval(*case, junk_filter=junk_filter)
+    except EvaluationError:
+        with pytest.raises(ValueError):
+            ref_evaluate(*case, junk_filter=junk_filter)
+        return
+    ref_map, ref_cmc, ref_aps = ref_evaluate(*case, junk_filter=junk_filter)
+    assert abs(res.map - ref_map) <= 1e-12
+    assert res.cmc.keys() == ref_cmc.keys()
+    for k in ref_cmc:
+        assert abs(res.cmc[k] - ref_cmc[k]) <= 1e-12
+    assert [np.isnan(ap) for ap in res.average_precisions] == [
+        ap is None for ap in ref_aps
+    ]
+    for ap, ref_ap in zip(res.average_precisions, ref_aps):
+        if ref_ap is not None:
+            assert abs(ap - ref_ap) <= 1e-12
 
 
 def test_metrics_dict_keys(rng):

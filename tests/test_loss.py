@@ -24,7 +24,7 @@ from oracles import (
     ref_softmax_loss,
     rel_err,
 )
-from test_trainer import easy_dataset, small_config
+from test_trainer import small_config, train_features
 
 
 def random_batch(rng, b, d):
@@ -257,14 +257,14 @@ class TestHybridLoss:
             assert np.abs(grad[r] - want_grad).max() <= 1e-12
 
     def test_endpoints(self):
-        samples, _, _ = easy_dataset()
-        _, _, reports = train(samples, small_config(mu=1.0, epochs=2))
+        feats = train_features()
+        _, _, reports = train(feats, small_config(mu=1.0, epochs=2))
         assert all(r.loss == r.loss_cls for r in reports)
-        _, _, reports = train(samples, small_config(mu=0.0, epochs=2))
+        _, _, reports = train(feats, small_config(mu=0.0, epochs=2))
         assert all(r.loss == r.loss_ins for r in reports)
 
     def test_invalid_mu(self):
-        samples, _, _ = easy_dataset()
+        feats = train_features()
         for mu in (1.5, -0.1):
             with pytest.raises(ConfigError):
-                train(samples, TrainConfig(mu=mu))
+                train(feats, TrainConfig(mu=mu))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hybridreid import ConfigError, SynthSpec, generate
+from hybridreid import ConfigError, SynthSpec, generate, l2_normalize
+from hybridreid.synthdata import _sample_prototypes
 
 
 def small_spec(**kw):
@@ -16,37 +17,39 @@ class TestGenerate:
     def test_split_sizes(self):
         spec = small_spec()
         train, query, gallery = generate(spec)
-        assert len(train) == 6 * 5
-        assert len(query) == 6 * 2
-        assert len(gallery) == 6 * 3 * 2
+        assert train.features.shape == (6 * 5, 12)
+        assert query.features.shape == (6 * 2, 12)
+        assert gallery.features.shape == (6 * 3 * 2, 12)
+        for fs in (train, query, gallery):
+            assert fs.ids.shape == fs.cams.shape == (fs.features.shape[0],)
 
     def test_features_unit_norm_float32(self):
-        train, query, gallery = generate(small_spec())
-        for s in train + query + gallery:
-            assert s.feature.dtype == np.float32
-            assert abs(np.linalg.norm(s.feature.astype(np.float64)) - 1.0) < 1e-5
+        for fs in generate(small_spec()):
+            assert fs.features.dtype == np.float32
+            norms = np.linalg.norm(fs.features.astype(np.float64), axis=1)
+            assert np.all(np.abs(norms - 1.0) < 1e-5)
 
     def test_deterministic_bitwise(self):
         a = generate(small_spec())
         b = generate(small_spec())
         for split_a, split_b in zip(a, b):
-            for sa, sb in zip(split_a, split_b):
-                assert sa.feature.tobytes() == sb.feature.tobytes()
-                assert (sa.identity, sa.camera) == (sb.identity, sb.camera)
+            assert split_a.features.tobytes() == split_b.features.tobytes()
+            assert split_a.ids.tolist() == split_b.ids.tolist()
+            assert split_a.cams.tolist() == split_b.cams.tolist()
 
     def test_seed_changes_data(self):
         a = generate(small_spec(seed=1))[0]
         b = generate(small_spec(seed=2))[0]
         assert any(
-            sa.feature.tobytes() != sb.feature.tobytes() for sa, sb in zip(a, b)
+            fa.tobytes() != fb.tobytes() for fa, fb in zip(a.features, b.features)
         )
 
     def test_every_identity_spans_cameras(self):
         train, query, gallery = generate(small_spec())
         for i in range(6):
-            train_cams = {s.camera for s in train if s.identity == i}
-            gallery_cams = {s.camera for s in gallery if s.identity == i}
-            query_cams = {s.camera for s in query if s.identity == i}
+            train_cams = set(train.cams[train.ids == i].tolist())
+            gallery_cams = set(gallery.cams[gallery.ids == i].tolist())
+            query_cams = set(query.cams[query.ids == i].tolist())
             assert len(train_cams) >= 2
             assert gallery_cams == {0, 1, 2}
             assert query_cams == {0, 1}
@@ -55,12 +58,9 @@ class TestGenerate:
         # every query keeps at least one same-id different-camera gallery
         # item, so the evaluator never has to skip a query
         _, query, gallery = generate(small_spec())
-        for q in query:
-            kept = [
-                g for g in gallery
-                if g.identity == q.identity and g.camera != q.camera
-            ]
-            assert kept
+        for q_id, q_cam in zip(query.ids, query.cams):
+            kept = (gallery.ids == q_id) & (gallery.cams != q_cam)
+            assert kept.any()
 
     def test_min_angle_enforced_on_prototypes(self):
         # with both noise scales at zero the features ARE the prototypes
@@ -68,8 +68,8 @@ class TestGenerate:
                           num_identities=8, min_angle_deg=35.0)
         train, _, _ = generate(spec)
         protos = {}
-        for s in train:
-            protos[s.identity] = s.feature.astype(np.float64)
+        for identity, feature in zip(train.ids, train.features):
+            protos[int(identity)] = feature.astype(np.float64)
         cos_limit = np.cos(np.deg2rad(35.0))
         for i in range(8):
             for j in range(i + 1, 8):
@@ -80,8 +80,8 @@ class TestGenerate:
         spec = small_spec(sigma_within=0.0, sigma_cam=0.0)
         train, _, _ = generate(spec)
         by_id = {}
-        for s in train:
-            by_id.setdefault(s.identity, set()).add(s.feature.tobytes())
+        for identity, feature in zip(train.ids, train.features):
+            by_id.setdefault(int(identity), set()).add(feature.tobytes())
         for blobs in by_id.values():
             assert len(blobs) == 1
 
@@ -90,9 +90,9 @@ class TestGenerate:
         spec = small_spec(sigma_within=0.0, sigma_cam=0.2)
         train, _, _ = generate(spec)
         groups = {}
-        for s in train:
-            groups.setdefault((s.identity, s.camera), set()).add(
-                s.feature.tobytes()
+        for identity, camera, feature in zip(train.ids, train.cams, train.features):
+            groups.setdefault((int(identity), int(camera)), set()).add(
+                feature.tobytes()
             )
         for blobs in groups.values():
             assert len(blobs) == 1
@@ -100,9 +100,28 @@ class TestGenerate:
     def test_sigma_cam_spreads_cameras_apart(self):
         spec = small_spec(sigma_within=0.0, sigma_cam=0.3)
         train, _, _ = generate(spec)
-        a = next(s for s in train if s.identity == 0 and s.camera == 0)
-        b = next(s for s in train if s.identity == 0 and s.camera == 1)
-        assert not np.array_equal(a.feature, b.feature)
+        a = train.features[(train.ids == 0) & (train.cams == 0)][0]
+        b = train.features[(train.ids == 0) & (train.cams == 1)][0]
+        assert not np.array_equal(a, b)
+
+    def test_matches_per_sample_draws(self):
+        # one noise draw per sample, train then query then gallery, in
+        # identity-major order: the order that fixes a seed's output bytes
+        spec = small_spec()
+        rng = np.random.default_rng(spec.seed)
+        protos = _sample_prototypes(spec, rng)
+        offsets = rng.standard_normal((6, 3, 12)) * spec.sigma_cam
+        layouts = (
+            [(i, j % 3) for i in range(6) for j in range(5)],
+            [(i, c) for i in range(6) for c in range(2)],
+            [(i, c) for i in range(6) for c in range(3) for _ in range(2)],
+        )
+        for fs, layout in zip(generate(spec), layouts):
+            assert list(zip(fs.ids.tolist(), fs.cams.tolist())) == layout
+            for row, (i, c) in zip(fs.features, layout):
+                noise = rng.standard_normal(12) * spec.sigma_within
+                want = l2_normalize(protos[i] + offsets[i, c] + noise)
+                assert row.tobytes() == want.astype(np.float32).tobytes()
 
 
 class TestValidation:

@@ -10,7 +10,6 @@ from hybridreid import (
     generate,
     train,
 )
-from hybridreid.core import cameras, identities
 from hybridreid.trainer import embed_all
 
 EVENT_ORDER = [
@@ -23,6 +22,7 @@ EVENT_ORDER = [
 
 
 def easy_dataset(num_identities=6, instances=10, dims=12, seed=5):
+    """(train, query, gallery) FeatureSets of a well-separated set."""
     spec = SynthSpec(
         num_identities=num_identities,
         instances_per_identity=instances,
@@ -49,26 +49,16 @@ def small_config(**kw):
     return TrainConfig(**base)
 
 
-class OpaqueSample:
-    """Training may read features only; labels raise on access."""
-
-    def __init__(self, feature):
-        self.feature = feature
-
-    @property
-    def identity(self):
-        raise AssertionError("training code read sample.identity")
-
-    @property
-    def camera(self):
-        raise AssertionError("training code read sample.camera")
+def train_features(**kw):
+    """The feature matrix of easy_dataset's training split."""
+    return easy_dataset(**kw)[0].features
 
 
 class TestEventOrdering:
     def test_per_iteration_order(self):
-        samples, _, _ = easy_dataset()
+        feats = train_features()
         log = []
-        train(samples, small_config(mu=0.5), event_log=log)
+        train(feats, small_config(mu=0.5), event_log=log)
         assert log, "no events recorded"
         groups = {}
         for epoch, it, name in log:
@@ -77,26 +67,26 @@ class TestEventOrdering:
             assert names == EVENT_ORDER
 
     def test_mu_zero_never_touches_cluster_loss(self):
-        samples, _, _ = easy_dataset()
+        feats = train_features()
         log = []
-        train(samples, small_config(mu=0.0), event_log=log)
+        train(feats, small_config(mu=0.0), event_log=log)
         names = {name for _, _, name in log}
         assert "cluster_loss" not in names
         assert "instance_loss" in names
 
     def test_mu_one_never_touches_instance_loss(self):
-        samples, _, _ = easy_dataset()
+        feats = train_features()
         log = []
-        train(samples, small_config(mu=1.0), event_log=log)
+        train(feats, small_config(mu=1.0), event_log=log)
         names = {name for _, _, name in log}
         assert "instance_loss" not in names
         assert "cluster_loss" in names
 
     def test_banks_updated_every_iteration_even_at_endpoints(self):
-        samples, _, _ = easy_dataset()
+        feats = train_features()
         for mu in (0.0, 1.0):
             log = []
-            train(samples, small_config(mu=mu), event_log=log)
+            train(feats, small_config(mu=mu), event_log=log)
             steps = [n for _, _, n in log if n == "optimizer_step"]
             cbank = [n for _, _, n in log if n == "cluster_bank_update"]
             ibank = [n for _, _, n in log if n == "instance_bank_update"]
@@ -105,8 +95,8 @@ class TestEventOrdering:
 
 class TestReports:
     def test_one_report_per_epoch(self):
-        samples, _, _ = easy_dataset()
-        _, _, reports = train(samples, small_config(epochs=4))
+        feats = train_features()
+        _, _, reports = train(feats, small_config(epochs=4))
         assert [r.epoch for r in reports] == [0, 1, 2, 3]
         for r in reports:
             assert r.seconds >= 0.0
@@ -114,26 +104,26 @@ class TestReports:
             assert np.isfinite(r.loss)
 
     def test_loss_is_mu_blend_of_parts(self):
-        samples, _, _ = easy_dataset()
+        feats = train_features()
         mu = 0.3
-        _, _, reports = train(samples, small_config(mu=mu))
+        _, _, reports = train(feats, small_config(mu=mu))
         for r in reports:
             assert abs(r.loss - (mu * r.loss_cls + (1 - mu) * r.loss_ins)) < 1e-12
 
     def test_unused_branch_reports_zero(self):
-        samples, _, _ = easy_dataset()
-        _, _, reports = train(samples, small_config(mu=1.0))
+        feats = train_features()
+        _, _, reports = train(feats, small_config(mu=1.0))
         assert all(r.loss_ins == 0.0 for r in reports)
-        _, _, reports = train(samples, small_config(mu=0.0))
+        _, _, reports = train(feats, small_config(mu=0.0))
         assert all(r.loss_cls == 0.0 for r in reports)
 
 
 class TestEpochSkip:
     def test_too_few_clusters_skips_training(self):
-        samples, _, _ = easy_dataset(num_identities=3)
+        feats = train_features(num_identities=3)
         log = []
         _, _, reports = train(
-            samples, small_config(num_identities_per_batch=10), event_log=log
+            feats, small_config(num_identities_per_batch=10), event_log=log
         )
         assert log == []
         assert len(reports) == 3
@@ -142,35 +132,38 @@ class TestEpochSkip:
             assert 0 < r.num_clusters < 10
 
     def test_collapse_aborts_after_three_empty_epochs(self, rng):
-        samples, _, _ = easy_dataset()
+        feats = train_features()
         cfg = small_config(
             epochs=10, dbscan_eps=1e-6, dbscan_min_pts=50, kreciprocal_k=5
         )
         with pytest.raises(ClusteringCollapseError):
-            train(samples, cfg)
+            train(feats, cfg)
 
     def test_model_params_untouched_on_skipped_epochs(self):
-        samples, _, _ = easy_dataset(num_identities=3)
+        feats = train_features(num_identities=3)
         model = MLPEncoder([12, 16, 8], seed=1)
         before = [p.copy() for p in model.parameters()]
-        train(samples, small_config(num_identities_per_batch=10), model=model)
+        train(feats, small_config(num_identities_per_batch=10), model=model)
         for p, b in zip(model.parameters(), before):
             assert np.array_equal(p, b)
 
 
 class TestIdentityWall:
     def test_training_never_reads_labels(self):
-        samples, _, _ = easy_dataset()
-        walled = [OpaqueSample(s.feature) for s in samples]
-        train(walled, small_config())
+        fs, _, _ = easy_dataset()
+        # labels cannot reach training: it takes the feature matrix alone
+        with pytest.raises(TypeError):
+            train(fs, small_config())
+        _, _, reports = train(fs.features, small_config())
+        assert reports[-1].num_clusters > 0
 
 
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self):
-        samples, _, _ = easy_dataset()
+        feats = train_features()
         cfg = small_config(seed=7)
-        m1, _, r1 = train(samples, cfg)
-        m2, _, r2 = train(samples, cfg)
+        m1, _, r1 = train(feats, cfg)
+        m2, _, r2 = train(feats, cfg)
         for a, b in zip(m1.parameters(), m2.parameters()):
             assert a.tobytes() == b.tobytes()
         for x, y in zip(r1, r2):
@@ -178,9 +171,9 @@ class TestDeterminism:
             assert (x.num_clusters, x.num_outliers) == (y.num_clusters, y.num_outliers)
 
     def test_different_seed_differs(self):
-        samples, _, _ = easy_dataset()
-        m1, _, _ = train(samples, small_config(seed=1))
-        m2, _, _ = train(samples, small_config(seed=2))
+        feats = train_features()
+        m1, _, _ = train(feats, small_config(seed=1))
+        m2, _, _ = train(feats, small_config(seed=2))
         assert any(
             a.tobytes() != b.tobytes()
             for a, b in zip(m1.parameters(), m2.parameters())
@@ -199,24 +192,24 @@ class TestEndToEnd:
             slots_per_cluster=6,
             kreciprocal_k=11,
         )
-        model, _, reports = train(train_s, cfg)
+        model, _, reports = train(train_s.features, cfg)
         assert reports[-1].num_clusters == 2
         res = evaluate_retrieval(
-            embed_all(model, query_s),
-            embed_all(model, gallery_s),
-            identities(query_s),
-            cameras(query_s),
-            identities(gallery_s),
-            cameras(gallery_s),
+            embed_all(model, query_s.features),
+            embed_all(model, gallery_s.features),
+            query_s.ids,
+            query_s.cams,
+            gallery_s.ids,
+            gallery_s.cams,
         )
         assert res.map == 1.0
         assert res.cmc[1] == 1.0
 
     def test_existing_model_is_trained_in_place(self):
-        samples, _, _ = easy_dataset()
+        feats = train_features()
         model = MLPEncoder([12, 16, 8], seed=1)
         before = [p.copy() for p in model.parameters()]
-        out_model, _, _ = train(samples, small_config(), model=model)
+        out_model, _, _ = train(feats, small_config(), model=model)
         assert out_model is model
         assert any(
             not np.array_equal(p, b)
@@ -224,15 +217,15 @@ class TestEndToEnd:
         )
 
     def test_dim_mismatch_rejected(self):
-        samples, _, _ = easy_dataset()
+        feats = train_features()
         model = MLPEncoder([5, 4], seed=0)
         with pytest.raises(ValueError):
-            train(samples, small_config(), model=model)
+            train(feats, small_config(), model=model)
 
     def test_needs_two_samples(self):
-        samples, _, _ = easy_dataset()
+        feats = train_features()
         with pytest.raises(ValueError):
-            train(samples[:1], small_config())
+            train(feats[:1], small_config())
 
 
 class TestEmbedAll:
@@ -242,10 +235,3 @@ class TestEmbedAll:
         a = embed_all(model, feats, chunk_size=7)
         b = embed_all(model, feats, chunk_size=512)
         assert np.allclose(a, b, atol=1e-12)
-
-    def test_accepts_sample_lists(self):
-        samples, _, _ = easy_dataset()
-        model = MLPEncoder([12, 8, 4], seed=0)
-        out = embed_all(model, samples)
-        assert out.shape == (len(samples), 4)
-        assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-9)
