@@ -239,12 +239,6 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.per_query and not args.out_dir:
         raise ConfigError("--per-query needs --out-dir to write per_query.csv into")
-    model = None
-    if args.checkpoint:
-        model, _, _ = load_checkpoint(args.checkpoint)
-    result = _evaluate_sets(load_features(args.query), load_features(args.gallery),
-                            model=model, junk_filter=not args.no_junk_filter)
-    metrics = result.metrics()
     if args.out_dir:
         out_dir = Path(args.out_dir)
         inputs = {"query": args.query, "gallery": args.gallery}
@@ -253,6 +247,13 @@ def cmd_evaluate(args) -> int:
         metrics_path = out_dir / "eval.json"
         write_manifest(out_dir, "evaluate", {"junk_filter": not args.no_junk_filter},
                        None, inputs, [metrics_path])
+    model = None
+    if args.checkpoint:
+        model, _, _ = load_checkpoint(args.checkpoint)
+    result = _evaluate_sets(load_features(args.query), load_features(args.gallery),
+                            model=model, junk_filter=not args.no_junk_filter)
+    metrics = result.metrics()
+    if args.out_dir:
         with open(metrics_path, "w") as fh:
             json.dump(metrics, fh, indent=2, sort_keys=True)
             fh.write("\n")

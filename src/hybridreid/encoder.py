@@ -195,6 +195,17 @@ def load_checkpoint(path):
     if n_widths < 2:
         raise FileFormatError(f"{path}: checkpoint with {n_widths} layer widths")
     widths = np.frombuffer(take(4 * n_widths), "<u4").astype(int).tolist()
+    if min(widths) < 1:
+        raise FileFormatError(f"{path}: checkpoint layer widths {widths}")
+    # the widths fix the size: parameters, 40 bytes of optimizer scalars, then
+    # Adam's m and v; checked before the encoder is built, so a corrupt
+    # header allocates nothing
+    num_params = sum(a * b + b for a, b in zip(widths[:-1], widths[1:]))
+    size = pos + 3 * 8 * num_params + 40
+    if size > len(blob):
+        raise FileIOError(f"{path}: truncated checkpoint")
+    if size < len(blob):
+        raise FileIOError(f"{path}: {len(blob) - size} trailing bytes")
 
     model = MLPEncoder(widths, seed=0)
     for p in model.parameters():
@@ -210,6 +221,4 @@ def load_checkpoint(path):
     for acc in (state.m, state.v):
         for a in acc:
             a[...] = np.frombuffer(take(8 * a.size), "<f8").reshape(a.shape)
-    if pos != len(blob):
-        raise FileIOError(f"{path}: {len(blob) - pos} trailing bytes")
     return model, state, epoch

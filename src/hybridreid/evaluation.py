@@ -12,15 +12,12 @@ from scipy.spatial.distance import cdist
 from .core import EvaluationError
 
 DEFAULT_RANKS = (1, 5, 10)
-# Queries scored together; bounds the scoring temporaries to QUERY_BLOCK x G.
-QUERY_BLOCK = 256
 
 
 @dataclass
 class RetrievalResult:
-    """Per-query rankings and APs plus aggregate metrics."""
+    """Per-query APs plus aggregate metrics."""
 
-    rankings: np.ndarray
     average_precisions: np.ndarray  # NaN for queries without a relevant match
     cmc: dict  # rank k -> accuracy over valid queries
     map: float
@@ -32,10 +29,16 @@ class RetrievalResult:
         return out
 
 
-def rank_gallery(query_emb, gallery_emb) -> np.ndarray:
-    """Gallery indices sorted by ascending Euclidean distance per query.
+def evaluate_retrieval(
+    query_emb, gallery_emb, q_ids, q_cams, g_ids, g_cams,
+    ks=DEFAULT_RANKS, junk_filter=True,
+) -> RetrievalResult:
+    """Score AP and CMC one query at a time.
 
-    Ties are broken by lower gallery index.
+    The gallery is ranked by ascending Euclidean distance, ties broken by
+    lower gallery index. A query's scores depend only on the ranks of its
+    same-identity items among the kept (non-junk) gallery, so only the kept
+    items no farther than its farthest such item are sorted.
     """
     q = np.atleast_2d(np.asarray(query_emb, dtype=np.float64))
     g = np.atleast_2d(np.asarray(gallery_emb, dtype=np.float64))
@@ -43,47 +46,29 @@ def rank_gallery(query_emb, gallery_emb) -> np.ndarray:
         raise ValueError("gallery is empty")
     if q.shape[1] != g.shape[1]:
         raise ValueError(f"query dim {q.shape[1]} != gallery dim {g.shape[1]}")
-    dist = cdist(q, g)
-    return np.argsort(dist, axis=1, kind="stable")
-
-
-def evaluate_retrieval(
-    query_emb, gallery_emb, q_ids, q_cams, g_ids, g_cams,
-    ks=DEFAULT_RANKS, junk_filter=True,
-) -> RetrievalResult:
-    """Rank the gallery for every query, then score AP and CMC together
-    from the ranked positions of each query's same-identity items."""
-    rankings = rank_gallery(query_emb, gallery_emb)
     q_ids, q_cams, g_ids, g_cams = map(np.asarray, (q_ids, q_cams, g_ids, g_cams))
-    num_q = rankings.shape[0]
-    aps = np.full(num_q, np.nan)
-    first_hits = np.zeros(num_q, dtype=np.int64)  # 1-based rank; 0 for no match
-    for lo in range(0, num_q, QUERY_BLOCK):
-        block = rankings[lo:lo + QUERY_BLOCK]
-        n = block.shape[0]
-        # same-identity entries, ordered by query and then by rank
-        row, col = np.nonzero(g_ids[block] == q_ids[lo:lo + n, None])
-        if junk_filter:
-            junk = g_cams[block[row, col]] == q_cams[lo:lo + n][row]
-        else:
-            junk = np.zeros(row.size, dtype=bool)
-        row_start = np.searchsorted(row, row)
-        junk_before = np.cumsum(junk) - junk
-        junk_before -= junk_before[row_start]
-        hit = ~junk
-        rank = (col - junk_before + 1)[hit]  # among the items junk filtering keeps
-        hit_no = (np.arange(row.size) - row_start - junk_before + 1)[hit]
-        row = row[hit]
-        total = np.bincount(row, minlength=n)
-        valid = np.flatnonzero(total)
-        precision_sum = np.bincount(row, weights=hit_no / rank, minlength=n)
-        aps[lo + valid] = precision_sum[valid] / total[valid]
-        first_hits[lo + valid] = rank[np.searchsorted(row, valid)]
-    first_hits = first_hits[first_hits > 0]
-    if first_hits.size == 0:
+    aps = np.full(q.shape[0], np.nan)
+    first_hits = []
+    all_kept = np.ones(g.shape[0], dtype=bool)
+    for i in range(q.shape[0]):
+        match = g_ids == q_ids[i]
+        kept = ~match | (g_cams != q_cams[i]) if junk_filter else all_kept
+        hits = match & kept
+        if not hits.any():
+            continue
+        # cdist, not a GEMM form: duplicate gallery rows must get equal
+        # distances for the lower-index tie rule to hold
+        dist = cdist(q[i:i + 1], g)[0]
+        candidates = np.flatnonzero(kept & (dist <= dist[hits].max()))
+        ranked = candidates[np.argsort(dist[candidates], kind="stable")]
+        ranks = np.flatnonzero(match[ranked]) + 1  # 1-based, among kept items
+        # builtin sum adds in rank order, as the per-query reference does
+        aps[i] = sum(np.arange(1, ranks.size + 1) / ranks) / ranks.size
+        first_hits.append(ranks[0])
+    if not first_hits:
         raise EvaluationError("no query has a relevant gallery item after filtering")
+    first_hits = np.asarray(first_hits)
     return RetrievalResult(
-        rankings=rankings,
         average_precisions=aps,
         cmc={int(k): float(np.mean(first_hits <= k)) for k in ks},
         map=float(np.nanmean(aps)),

@@ -165,6 +165,16 @@ def ref_members_of(assignment, cluster):
     return [i for i, a in enumerate(assignment) if a == cluster]
 
 
+def ref_rank_gallery(q_emb, g_emb):
+    """Gallery indices per query by ascending Euclidean distance, ties
+    broken by lower index."""
+    ranked = []
+    for q in np.asarray(q_emb, dtype=np.float64):
+        d = np.sqrt(((np.asarray(g_emb, dtype=np.float64) - q) ** 2).sum(axis=1))
+        ranked.append(sorted(range(len(d)), key=lambda j: (d[j], j)))
+    return ranked
+
+
 def ref_relevance(ranking, q_id, q_cam, g_ids, g_cams, junk_filter=True):
     """One query's ranked relevance flags after removing same-id
     same-camera (junk) gallery items."""
@@ -201,13 +211,10 @@ def ref_evaluate(q_emb, g_emb, q_ids, q_cams, g_ids, g_cams, ks=(1, 5, 10),
 
     Returns (mAP, cmc dict, per-query AP list with None for skipped).
     """
-    relevances = []
-    for qi in range(len(q_ids)):
-        d = np.sqrt(((np.asarray(g_emb) - np.asarray(q_emb)[qi]) ** 2).sum(axis=1))
-        order = sorted(range(len(g_ids)), key=lambda j: (d[j], j))
-        relevances.append(
-            ref_relevance(order, q_ids[qi], q_cams[qi], g_ids, g_cams, junk_filter)
-        )
+    relevances = [
+        ref_relevance(order, q_ids[qi], q_cams[qi], g_ids, g_cams, junk_filter)
+        for qi, order in enumerate(ref_rank_gallery(q_emb, g_emb))
+    ]
     aps = [ref_average_precision(rel) for rel in relevances]
     cmc = ref_cmc(relevances, ks)
     kept_aps = [ap for ap in aps if ap is not None]

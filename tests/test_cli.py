@@ -247,6 +247,23 @@ class TestEvaluate:
         assert rc == 2
         capsys.readouterr()
 
+    def test_manifest_written_before_loading(self, dataset_dir, tmp_path, capsys):
+        other = tmp_path / "other"
+        assert main([
+            "gen-data", "--out-dir", str(other), "--num-identities", "3",
+            "--instances-per-identity", "4", "--dims", "5",
+        ]) == 0
+        out = tmp_path / "ev"
+        rc = main([
+            "evaluate", "--query", str(dataset_dir / "query.feat"),
+            "--gallery", str(other / "gallery.feat"), "--out-dir", str(out),
+        ])
+        assert rc == 2
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "evaluate"
+        assert not (out / "eval.json").exists()
+
 
 class TestExitCodes:
     def test_missing_input_exits_3(self, tmp_path, capsys):

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hybridreid import AdamState, MLPEncoder, adam_step, load_checkpoint, save_checkpoint
 from hybridreid.core import FileFormatError, FileIOError
+from hybridreid.encoder import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 from oracles import fd_grad, rel_err
 
@@ -228,3 +233,57 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(tmp_path / "none.ckpt")
+
+
+@st.composite
+def corrupt_checkpoint(draw):
+    """Checkpoint bytes a loader must reject, with the error it must raise.
+    Every width is at most 8 or at least 2**31 (where numpy refuses the
+    array outright), so no case can allocate much even if the encoder were
+    built before the size check."""
+    kind = draw(st.sampled_from(
+        ["short", "long", "zero_width", "few_widths", "count_past_end",
+         "magic", "version"]))
+    small = st.lists(st.integers(1, 8), min_size=2, max_size=4)
+    huge = st.lists(st.integers(2**31, 2**32 - 1), min_size=2, max_size=4)
+    widths = draw(st.one_of(small, huge) if kind == "short" else small)
+    need = 3 * 8 * sum(a * b + b for a, b in zip(widths[:-1], widths[1:])) + 40
+    magic, version, n_widths = CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(widths)
+    payload, error = need, FileFormatError
+    if kind == "short":
+        payload, error = draw(st.integers(0, min(need, 256) - 1)), FileIOError
+    elif kind == "long":
+        payload, error = need + draw(st.integers(1, 16)), FileIOError
+    elif kind == "zero_width":
+        widths[draw(st.integers(0, n_widths - 1))] = 0
+    elif kind == "few_widths":
+        n_widths = draw(st.integers(0, 1))
+    elif kind == "count_past_end":
+        n_widths = draw(st.integers(n_widths + 1, 2**32 - 1))
+        payload, error = 0, FileIOError
+    elif kind == "magic":
+        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda b: b != magic))
+    else:
+        version = draw(st.integers(0, 2**32 - 1).filter(lambda v: v != version))
+    header = b"".join([
+        magic, np.uint32(version).tobytes(), np.uint64(0).tobytes(),
+        np.uint32(n_widths).tobytes(), np.asarray(widths, dtype="<u4").tobytes(),
+    ])
+    return header + bytes(payload), error
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=corrupt_checkpoint())
+def test_corrupt_header_rejected_before_allocating(tmp_path, case):
+    blob, error = case
+    path = tmp_path / "corrupt.ckpt"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
