@@ -245,8 +245,10 @@ def cmd_evaluate(args) -> int:
         if args.checkpoint:
             inputs["checkpoint"] = args.checkpoint
         metrics_path = out_dir / "eval.json"
+        per_query_path = out_dir / "per_query.csv"
+        outputs = [metrics_path, per_query_path] if args.per_query else [metrics_path]
         write_manifest(out_dir, "evaluate", {"junk_filter": not args.no_junk_filter},
-                       None, inputs, [metrics_path])
+                       None, inputs, outputs)
     model = None
     if args.checkpoint:
         model, _, _ = load_checkpoint(args.checkpoint)
@@ -258,7 +260,7 @@ def cmd_evaluate(args) -> int:
             json.dump(metrics, fh, indent=2, sort_keys=True)
             fh.write("\n")
         if args.per_query:
-            with open(out_dir / "per_query.csv", "w", newline="") as fh:
+            with open(per_query_path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["query_index", "average_precision"])
                 for i, ap in enumerate(result.average_precisions):

@@ -213,6 +213,8 @@ class TestEvaluate:
             rows = list(csv.reader(fh))
         assert rows[0] == ["query_index", "average_precision"]
         assert len(rows) == 9  # header + 8 queries
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["eval.json", "per_query.csv"]
 
     def test_no_junk_filter_flag(self, dataset_dir, capsys):
         args = ["evaluate", "--query", str(dataset_dir / "query.feat"),

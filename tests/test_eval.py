@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridreid import EvaluationError, evaluate_retrieval, l2_normalize
+from hybridreid import EvaluationError, NumericError, evaluate_retrieval, l2_normalize
+from hybridreid.evaluation import SCREEN_BLOCK
 
 from oracles import (
     ref_average_precision,
@@ -89,6 +90,15 @@ class TestRankGallery:
     def test_empty_gallery(self):
         with pytest.raises(ValueError):
             evaluate_retrieval(np.ones((1, 3)), np.ones((0, 3)), [0], [0], [], [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["query", "gallery"])
+    def test_non_finite_embeddings_rejected(self, side, bad):
+        q = embed_on_line([0.0, 1.0])
+        g = embed_on_line([0.1, 0.9, 2.0])
+        (q if side == "query" else g)[1, 0] = bad
+        with pytest.raises(NumericError):
+            evaluate_retrieval(q, g, [1, 2], [0, 0], [1, 2, 3], [1, 1, 1])
 
 
 class TestJunkFiltering:
@@ -293,6 +303,62 @@ def duplicated_real_rows(draw):
 @given(case=duplicated_real_rows(), junk_filter=st.booleans())
 def test_duplicate_rows_tie_to_lower_index(case, junk_filter):
     assert_matches_reference(case, junk_filter)
+
+
+@st.composite
+def screen_adversarial(draw):
+    """Lattice points around a far center. ``cdist`` and the reference get
+    their distances exactly (exact ties, and near-ties one lattice step
+    apart), while the screen's GEMM form rounds at about eps |center|^2,
+    far above a step. A few distinct rows fill the near gallery, so a
+    query's farthest match recurs at many positions under other ids; the
+    other two thirds are distractors far off, so the screen has to cut.
+    Center norms run from about 1e-3 to 1e3, dims from 2 to 64, and the
+    queries span more than one screen block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.integers(2, 64))
+    nq = draw(st.integers(SCREEN_BLOCK + 1, 2 * SCREEN_BLOCK + 8))
+    n_near, n_ids = draw(st.integers(8, 40)), draw(st.integers(3, 12))
+    # coordinates are integer multiples of a step 2^-30 of the center's
+    # norm, so every point, difference, square and sum cdist takes is exact
+    scale = 2.0 ** draw(st.integers(-10, 10))
+    step = scale * 2.0 ** -30
+    center = np.round(rng.standard_normal(dims) / np.sqrt(dims) * 2.0 ** 30) * step
+    points = center + step * rng.integers(0, 3, (draw(st.integers(3, 8)), dims))
+    near = points[:draw(st.integers(2, len(points) - 1))]
+    far = center + step * 2.0 ** 20 * rng.choice([-1, 1], (2 * n_near + 1, dims))
+    g = np.concatenate([near[rng.integers(0, len(near), n_near)], far])
+    g_ids = np.concatenate([rng.integers(0, n_ids, n_near), np.full(len(far), n_ids)])
+    order = rng.permutation(len(g))
+    return (
+        points[rng.integers(0, len(points), nq)],
+        g[order],
+        rng.integers(0, n_ids, nq),
+        rng.integers(0, 2, nq),
+        g_ids[order],
+        rng.integers(0, 2, len(g)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=screen_adversarial(), junk_filter=st.booleans())
+def test_screen_keeps_every_candidate(case, junk_filter):
+    assert_matches_reference(case, junk_filter)
+
+
+@pytest.mark.parametrize("junk_filter", [True, False])
+def test_overflowing_norms_rank_by_index(junk_filter):
+    """Rows whose squared norms overflow put inf and NaN into the screen's
+    GEMM form; the items must still be ranked, at cdist's inf, by index."""
+    rng = np.random.default_rng(7)
+    q = rng.standard_normal((SCREEN_BLOCK + 8, 4))
+    g = rng.standard_normal((30, 4))
+    q[::4] *= 1e160
+    g[::3] *= 1e160
+    case = (q, g, rng.integers(0, 3, len(q)), rng.integers(0, 2, len(q)),
+            rng.integers(0, 3, len(g)), rng.integers(0, 2, len(g)))
+    with np.errstate(over="ignore"):  # the reference's own squares overflow
+        assert_matches_reference(case, junk_filter)
 
 
 def test_metrics_dict_keys(rng):
