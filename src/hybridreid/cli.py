@@ -27,6 +27,7 @@ from .core import (
     FileIOError,
     NumericError,
     TrainConfig,
+    _atomic_open,
     l2_normalize,
     load_features,
     save_features,
@@ -97,7 +98,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed, inputs: dict
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
@@ -130,7 +131,7 @@ def _merge_config(args) -> TrainConfig:
 
 
 def _write_metrics_csv(path, reports, zero_seconds: bool):
-    with open(path, "w", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_HEADER)
         for r in reports:
@@ -192,10 +193,12 @@ def cmd_cluster(args) -> int:
     write_manifest(out_dir, "cluster", params, None,
                    inputs={"features": args.features}, outputs=[labels_path])
     features = load_features(args.features).features
-    validate_config(TrainConfig(**params), num_samples=features.shape[0])
+    # clustering forms no batches, so the batch size is not checked here
+    validate_config(TrainConfig(**params, num_identities_per_batch=1),
+                    num_samples=features.shape[0])
     emb = l2_normalize(features)
     labels = pseudo_label(emb, args.kreciprocal_k, args.dbscan_eps, args.dbscan_min_pts)
-    with open(labels_path, "w", newline="") as fh:
+    with _atomic_open(labels_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_index", "cluster_id"])
         for i, c in enumerate(labels.assignment):
@@ -229,7 +232,7 @@ def cmd_train(args) -> int:
         result = _evaluate_sets(load_features(args.query),
                                 load_features(args.gallery), model=model)
         metrics = result.metrics()
-        with open(out_dir / "eval.json", "w") as fh:
+        with _atomic_open(out_dir / "eval.json") as fh:
             json.dump(metrics, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print("  ".join(f"{k}={v:.4f}" for k, v in sorted(metrics.items())))
@@ -256,11 +259,11 @@ def cmd_evaluate(args) -> int:
                             model=model, junk_filter=not args.no_junk_filter)
     metrics = result.metrics()
     if args.out_dir:
-        with open(metrics_path, "w") as fh:
+        with _atomic_open(metrics_path) as fh:
             json.dump(metrics, fh, indent=2, sort_keys=True)
             fh.write("\n")
         if args.per_query:
-            with open(per_query_path, "w", newline="") as fh:
+            with _atomic_open(per_query_path, newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["query_index", "average_precision"])
                 for i, ap in enumerate(result.average_precisions):
@@ -297,6 +300,7 @@ def cmd_ablate(args) -> int:
                    inputs={"features": args.features, "query": args.query,
                            "gallery": args.gallery},
                    outputs=[summary_path], extra=pinning)
+    validate_config(cfg, num_samples=load_features(args.features).ids.size)
     payloads = [
         (args.features, args.query, args.gallery, cfg.to_dict(), mu, seed,
          args.deterministic)
@@ -309,7 +313,7 @@ def cmd_ablate(args) -> int:
             results = list(pool.map(_ablate_run, payloads))
     else:
         results = [_ablate_run(p) for p in payloads]
-    with open(summary_path, "w", newline="") as fh:
+    with _atomic_open(summary_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ABLATE_HEADER)
         for mu, seed, metrics in results:

@@ -1,6 +1,6 @@
 """Pseudo-label generation: k-reciprocal neighbor sets, their Jaccard
-distance and a deterministic DBSCAN. Distances are ranked one row block at
-a time and the sets and Jaccard distances are CSR matrices, so no step
+distance and a deterministic DBSCAN. Similarities are ranked one row block
+at a time and the sets and Jaccard distances are CSR matrices, so no step
 holds an N x N array."""
 
 from __future__ import annotations
@@ -12,8 +12,20 @@ from scipy import sparse
 
 from .core import OUTLIER, PseudoLabeling
 
-# Rows of distances ranked at once; labeling memory is a few BLOCK_ROWS x N arrays.
+# Rows of similarities ranked at once; labeling memory is a few BLOCK_ROWS x N arrays.
 BLOCK_ROWS = 256
+
+
+def _check_unit_rows(rows, who):
+    if rows.shape[0] and not np.allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-4):
+        raise ValueError(f"{who} expects unit-norm rows")
+
+
+def _distance_from_similarity(sim):
+    """``sqrt(2 - 2 sim)``, clipped at 0, computed in place."""
+    sim *= -2.0
+    sim += 2.0
+    return np.sqrt(np.clip(sim, 0.0, None, out=sim), out=sim)
 
 
 def pairwise_euclidean(a: np.ndarray, b: np.ndarray = None) -> np.ndarray:
@@ -22,44 +34,81 @@ def pairwise_euclidean(a: np.ndarray, b: np.ndarray = None) -> np.ndarray:
     symmetric matrix with a zero diagonal."""
     a = np.asarray(a, dtype=np.float64)
     b = a if b is None else np.asarray(b, dtype=np.float64)
-    for rows in (a, b):
-        if rows.shape[0] and not np.allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-4):
-            raise ValueError("pairwise_euclidean expects unit-norm rows")
-    dist = a @ b.T
-    dist *= -2.0
-    dist += 2.0
-    np.sqrt(np.clip(dist, 0.0, None, out=dist), out=dist)
+    _check_unit_rows(a, "pairwise_euclidean")
+    if b is not a:
+        _check_unit_rows(b, "pairwise_euclidean")
+    dist = _distance_from_similarity(a @ b.T)
     if b is a:
         np.fill_diagonal(dist, 0.0)
     return dist
+
+
+def _may_tie(s_next, s_k):
+    """Rows whose k nearest neighbors by distance may differ from their k
+    largest similarities; ``s_k`` is a row's k-th largest similarity (self
+    excluded) and ``s_next`` its largest one outside that top k.
+
+    The distance of similarity s is d(s) = fl(sqrt(max(fl(2 - 2s), 0))),
+    as ``_distance_from_similarity`` computes it (2s is exact). Rounding is
+    monotone, so d is non-increasing in s, and the top k by s are the k
+    nearest, with the lower-index rule never consulted, unless some column
+    outside them has d(s_next) = d(s_k). The rows are unit-norm to 1e-4, so
+    |s| < 1.001: x = 2 - 2s < 4.01 rounds by at most half an ulp, 2^-51,
+    and sqrt(x) < 2.01 by at most 2^-52. Take s_next < min(s_k, 1) - delta.
+
+    - If s_k >= 1, d(s_k) = 0, while 2 - 2 s_next > 2 delta, so its
+      rounding is at least 2 delta and d(s_next) > 0.
+    - If s_k < 1, the exact x_next - x_k = 2 (s_k - s_next) > 2 delta; the
+      rounded values differ by more than 2 delta - 2^-50, their square roots
+      by more than (2 delta - 2^-50) / 4.02 before rounding and by that less
+      2^-51 after it. That is positive once delta > 1.51 * 2^-50.
+
+    delta = 2^-46 is ten times that, so only the rows flagged here can tie
+    at the k-th distance, and only they need the distances.
+    """
+    return s_next >= np.minimum(s_k, 1.0) - 2.0 ** -46
+
+
+def _nearest_by_distance(sim, k):
+    """The k nearest columns of each row of ``sim`` by ``sqrt(2 - 2 sim)``,
+    ties at the k-th distance broken by lower index (``sim`` is consumed)."""
+    dist = _distance_from_similarity(sim)
+    near = np.argpartition(dist, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(dist, near, axis=1).max(axis=1, keepdims=True)
+    # more candidates at the k-th distance than slots left: the lowest
+    # indices among them take the slots
+    below, tied = dist < kth, dist == kth
+    room = k - np.count_nonzero(below, axis=1)
+    picked = below | tied & (np.cumsum(tied, axis=1) <= room[:, None])
+    return np.nonzero(picked)[1].reshape(-1, k)
 
 
 def k_reciprocal_neighbors(emb: np.ndarray, k: int):
     """Boolean CSR matrix of k-reciprocal neighbor sets of the rows of ``emb``.
 
     Row i holds ``R(i) = {j : j in kNN(i) and i in kNN(j)}`` in ascending
-    order, with kNN excluding the sample itself and ties at the k-th
-    distance broken by lower index. Distances come BLOCK_ROWS rows at a time.
+    order, with kNN by ``pairwise_euclidean`` distance, excluding the
+    sample itself and with ties at the k-th distance broken by lower index.
+    Similarities come BLOCK_ROWS rows at a time from the GEMM that
+    ``pairwise_euclidean`` makes and are ranked as they are; only rows where
+    ``_may_tie`` finds a possible tie at the k-th distance compute distances.
     """
     emb = np.asarray(emb, dtype=np.float64)
     n = emb.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n; got k={k}, n={n}")
+    _check_unit_rows(emb, "k_reciprocal_neighbors")
     knn = np.empty((n, k), dtype=np.int64)
     for lo in range(0, n, BLOCK_ROWS):
-        dist = pairwise_euclidean(emb[lo:lo + BLOCK_ROWS], emb)
-        rows = np.arange(dist.shape[0])
-        dist[rows, lo + rows] = np.inf
-        near = np.argpartition(dist, k - 1, axis=1)[:, :k]
-        kth = np.take_along_axis(dist, near, axis=1).max(axis=1, keepdims=True)
-        over = np.flatnonzero(np.count_nonzero(dist <= kth, axis=1) > k)
-        if over.size:
-            # more candidates at the k-th distance than slots left: the
-            # lowest indices among them take the slots
-            below, tied = dist[over] < kth[over], dist[over] == kth[over]
-            room = k - np.count_nonzero(below, axis=1)
-            picked = below | tied & (np.cumsum(tied, axis=1) <= room[:, None])
-            near[over] = np.nonzero(picked)[1].reshape(-1, k)
+        sim = emb[lo:lo + BLOCK_ROWS] @ emb.T
+        rows = np.arange(sim.shape[0])
+        sim[rows, lo + rows] = -np.inf
+        order = np.argpartition(sim, n - k - 1, axis=1)
+        near = order[:, n - k:]
+        s_k = np.take_along_axis(sim, near, axis=1).min(axis=1)
+        tie = np.flatnonzero(_may_tie(sim[rows, order[:, n - k - 1]], s_k))
+        if tie.size:
+            near[tie] = _nearest_by_distance(sim[tie], k)
         knn[lo:lo + rows.size] = np.sort(near, axis=1)
     knn = sparse.csr_array((np.ones(n * k, dtype=bool), knn.ravel(),
                             np.arange(0, n * k + 1, k)), shape=(n, n))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -119,6 +121,22 @@ class PseudoLabeling:
             raise ValueError("num_clusters > 0 but every sample is an outlier")
 
 
+@contextlib.contextmanager
+def _atomic_open(path, mode="w", **kwargs):
+    """Open a new temporary file beside ``path`` for writing, and move it
+    over ``path`` once the block completes: ``path`` holds either its old
+    bytes or all of the new ones, and no temporary file outlives the block."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def l2_normalize(x, eps=1e-12):
     """Row-wise L2 normalization; eps inside the square root guards v=0."""
     x = np.asarray(x, dtype=np.float64)
@@ -155,7 +173,7 @@ def save_features(fs: FeatureSet, path):
         + np.uint64(n).tobytes()
         + np.uint32(dims).tobytes()
     )
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(records.tobytes())
 
@@ -263,10 +281,29 @@ def _has_field_type(value, kind) -> bool:
 _TYPE_NAMES = {int: "an integer", float: "a number", tuple: "a list of integers"}
 
 
+def _max_clusters(num_samples: int, min_pts: int) -> int:
+    """The most clusters ``dbscan`` can form over ``num_samples`` points.
+
+    Pick one core per cluster. Cores of two clusters are never within eps
+    of each other (the first to expand would claim the other), so each
+    picked core has at least ``min_pts`` neighbors among the other
+    N - C points. Such a neighbor is within eps of at most one picked core
+    if it is a core itself, and of at most min_pts - 1 if it is not. With
+    r = max(1, min_pts - 1), min_pts C <= r (N - C), so
+    C <= r N / (min_pts + r). That is N / (min_pts + 1) for min_pts <= 2;
+    above that a cluster can be smaller than min_pts + 1 points, as a core
+    whose neighbors all border earlier clusters forms one of its own.
+    """
+    r = max(1, min_pts - 1)
+    return num_samples * r // (min_pts + r)
+
+
 def validate_config(cfg: TrainConfig, num_samples: int = None):
     """Raise ConfigError naming every violated field; given ``num_samples``
-    and otherwise valid fields, also require ``kreciprocal_k`` below it.
-    A field's range is checked only once its type is right."""
+    and otherwise valid fields, also require ``kreciprocal_k`` below it and
+    no more identities per batch than clusters DBSCAN can form, so that a
+    config that could never train fails before any compute. A field's range
+    is checked only once its type is right."""
     problems = []
     typed = {}
     for f in dataclasses.fields(cfg):
@@ -292,7 +329,15 @@ def validate_config(cfg: TrainConfig, num_samples: int = None):
     require(("lr_decay_factor",), lambda v: 0 < v <= 1, "in (0, 1]")
     require(("seed",), lambda v: v >= 0, ">= 0")
     require(("hidden_dims",), lambda v: len(v) > 0 and min(v) >= 1, "positive integers")
-    if not problems and num_samples is not None and cfg.kreciprocal_k >= num_samples:
-        problems.append(f"kreciprocal_k must be < {num_samples} samples, got {cfg.kreciprocal_k}")
+    if not problems and num_samples is not None:
+        if cfg.kreciprocal_k >= num_samples:
+            problems.append(f"kreciprocal_k must be < {num_samples} samples, "
+                            f"got {cfg.kreciprocal_k}")
+        most = _max_clusters(num_samples, cfg.dbscan_min_pts)
+        if cfg.num_identities_per_batch > most:
+            problems.append(
+                f"num_identities_per_batch must be <= {most}, the most clusters "
+                f"{num_samples} samples form at dbscan_min_pts={cfg.dbscan_min_pts}, "
+                f"got {cfg.num_identities_per_batch}")
     if problems:
         raise ConfigError("; ".join(problems))

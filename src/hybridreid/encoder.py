@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FileFormatError, FileIOError
+from .core import FileFormatError, FileIOError, _atomic_open
 
 CHECKPOINT_MAGIC = b"HHCK"
 CHECKPOINT_VERSION = 1
@@ -33,6 +33,15 @@ class MLPEncoder:
             scale = np.sqrt(2.0 / (fan_in + fan_out))
             self.weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
+
+    @classmethod
+    def _from_parameters(cls, params):
+        """An encoder that owns ``params`` ([W0, b0, W1, b1, ...]), built
+        without drawing initial weights."""
+        model = cls.__new__(cls)
+        model.weights, model.biases = list(params[0::2]), list(params[1::2])
+        model.widths = [model.weights[0].shape[0]] + [w.shape[1] for w in model.weights]
+        return model
 
     @property
     def num_layers(self) -> int:
@@ -166,7 +175,7 @@ def save_checkpoint(path, model: MLPEncoder, state: AdamState, epoch: int):
     for acc in (state.m, state.v):
         for a in acc:
             parts.append(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 
@@ -207,18 +216,20 @@ def load_checkpoint(path):
     if size < len(blob):
         raise FileIOError(f"{path}: {len(blob) - size} trailing bytes")
 
-    model = MLPEncoder(widths, seed=0)
-    for p in model.parameters():
-        p[...] = np.frombuffer(take(8 * p.size), "<f8").reshape(p.shape)
+    shapes = [s for a, b in zip(widths[:-1], widths[1:]) for s in ((a, b), (b,))]
+
+    def arrays():
+        """Writable float64 copies of the next arrays in ``parameters()`` layout."""
+        return [np.frombuffer(take(8 * int(np.prod(s))), "<f8").astype(np.float64).reshape(s)
+                for s in shapes]
+
+    model = MLPEncoder._from_parameters(arrays())
     step_count = int(np.frombuffer(take(8), "<u8")[0])
     base_lr, weight_decay, decay_factor = np.frombuffer(take(24), "<f8")
     decay_every, sched_epoch = np.frombuffer(take(8), "<u4")
-    state = AdamState.for_model(
-        model, base_lr, weight_decay, decay_factor, int(decay_every)
+    state = AdamState(
+        m=arrays(), v=arrays(), step_count=step_count, base_lr=float(base_lr),
+        weight_decay=float(weight_decay), decay_factor=float(decay_factor),
+        decay_every=int(decay_every), epoch=int(sched_epoch),
     )
-    state.step_count = step_count
-    state.epoch = int(sched_epoch)
-    for acc in (state.m, state.v):
-        for a in acc:
-            a[...] = np.frombuffer(take(8 * a.size), "<f8").reshape(a.shape)
     return model, state, epoch

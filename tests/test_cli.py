@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from hybridreid import TrainConfig, l2_normalize, load_checkpoint, load_features, pseudo_label
-from hybridreid.cli import main
+from hybridreid.cli import _write_metrics_csv, main
+from hybridreid.trainer import EpochReport
 
 
 @pytest.fixture(scope="module")
@@ -388,6 +389,7 @@ class TestExitCodes:
             "--out-dir", str(tmp_path / "o"),
             "--epochs", "5", "--dbscan-eps", "1e-6",
             "--dbscan-min-pts", "30", "--kreciprocal-k", "5",
+            "--num-identities-per-batch", "2",
         ])
         assert rc == 5
         capsys.readouterr()
@@ -403,6 +405,37 @@ class TestExitCodes:
         ])
         assert rc == 2
         capsys.readouterr()
+
+    def test_batch_beyond_cluster_bound_exits_2_before_training(
+            self, dataset_dir, tmp_path, capsys):
+        # 32 samples form at most 13 clusters at dbscan_min_pts=4, against
+        # 16 identities per batch by default
+        train_out, ablate_out = tmp_path / "t", tmp_path / "a"
+        assert main(["train", "--features", str(dataset_dir / "train.feat"),
+                     "--out-dir", str(train_out), "--epochs", "1",
+                     "--kreciprocal-k", "5"]) == 2
+        assert main(["ablate", "--features", str(dataset_dir / "train.feat"),
+                     "--query", str(dataset_dir / "query.feat"),
+                     "--gallery", str(dataset_dir / "gallery.feat"),
+                     "--out-dir", str(ablate_out), "--mu-values", "0.5",
+                     "--seeds", "0", "--epochs", "1", "--kreciprocal-k", "5"]) == 2
+        assert "num_identities_per_batch must be <= 13" in capsys.readouterr().err
+        assert sorted(p.name for p in train_out.iterdir()) == ["manifest.json"]
+        assert sorted(p.name for p in ablate_out.iterdir()) == ["manifest.json"]
+        # clustering forms no batches, so the same set still clusters
+        assert main(["cluster", "--features", str(dataset_dir / "train.feat"),
+                     "--out-dir", str(tmp_path / "c"), "--kreciprocal-k", "5"]) == 0
+        capsys.readouterr()
+
+    def test_failed_metrics_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("old\n")
+        bad = EpochReport(epoch=0, num_clusters=1, num_outliers=0, loss="?",
+                          loss_cls=0.0, loss_ins=0.0, seconds=0.0)
+        with pytest.raises(ValueError):
+            _write_metrics_csv(path, [bad], zero_seconds=True)
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
 
 
 class TestAblate:

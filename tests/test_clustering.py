@@ -15,6 +15,7 @@ from hybridreid.clustering import (
     k_reciprocal_neighbors,
     pairwise_euclidean,
 )
+from hybridreid.core import _max_clusters
 
 from oracles import (
     ref_dbscan,
@@ -139,6 +140,12 @@ class TestKReciprocal:
         with pytest.raises(ValueError):
             k_reciprocal_neighbors(emb, 6)
 
+    def test_rejects_unnormalized(self, rng):
+        emb = l2_normalize(rng.standard_normal((6, 3)))
+        emb[4] *= 2.0
+        with pytest.raises(ValueError, match="unit-norm"):
+            k_reciprocal_neighbors(emb, 2)
+
 
 class TestJaccard:
     def test_matches_reference(self, rng):
@@ -254,6 +261,27 @@ class TestDbscan:
             assert got.num_clusters == ref_c
             assert got.assignment.tolist() == ref_labels.tolist()
 
+    def test_cluster_count_within_config_bound(self, rng):
+        # min_pts=3: each core a_i has three neighbors, one of them a border
+        # b_i that is also the only kind of neighbor core p has; the earlier
+        # clusters claim every b_i, so p forms a cluster of one
+        edges = [(4 * i, 4 * i + j) for i in range(3) for j in (1, 2, 3)]
+        edges += [(12, 4 * i + 3) for i in range(3)]
+        d = np.ones((13, 13))
+        np.fill_diagonal(d, 0.0)
+        for u, v in edges:
+            d[u, v] = d[v, u] = 0.1
+        lab = dbscan(d, eps=0.5, min_pts=3)
+        assert lab.assignment.tolist() == [0] * 4 + [1] * 4 + [2] * 4 + [3]
+        assert 13 // (3 + 1) < lab.num_clusters <= _max_clusters(13, 3)
+        for trial in range(200):
+            n = int(rng.integers(2, 40))
+            within = rng.random((n, n)) < rng.uniform(0.02, 0.4)
+            d = np.where(within | within.T, 0.1, 1.0)
+            np.fill_diagonal(d, 0.0)
+            min_pts = int(rng.integers(1, 7))
+            assert dbscan(d, 0.5, min_pts).num_clusters <= _max_clusters(n, min_pts)
+
     def test_parameter_validation(self):
         d = np.zeros((3, 3))
         with pytest.raises(ValueError):
@@ -354,3 +382,41 @@ def test_pseudo_label_matches_dense_oracle_chain(emb, data):
     ref_labels, ref_c = ref_dbscan(jac, eps, min_pts)
     assert got.num_clusters == ref_c
     assert got.assignment.tolist() == ref_labels.tolist()
+
+
+@st.composite
+def near_copies(draw, jitter):
+    """9..40 copies, over 1..4 real-valued unit rows in 2..64 dims, of which
+    each entry is scaled by ``jitter(rng, shape)``, plus k and a block size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    base = l2_normalize(rng.standard_normal((draw(st.integers(1, 4)),
+                                             draw(st.integers(2, 64)))))
+    n = draw(st.integers(9, 40))
+    emb = base[rng.integers(0, base.shape[0], size=n)]
+    emb = emb * jitter(rng, emb.shape)
+    return emb, draw(st.integers(1, n - 1), label="k"), draw(st.integers(1, n + 1), label="block")
+
+
+def check_kreciprocal_blocks(case):
+    emb, k, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "BLOCK_ROWS", block)
+        got = k_reciprocal_neighbors(emb, k)
+    assert np.array_equal(got.toarray(), ref_kreciprocal(blocked_dist(emb, block), k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=near_copies(lambda rng, shape: 1.0 + np.finfo(float).eps
+                        * rng.integers(-4, 5, size=shape)))
+def test_kreciprocal_ulp_apart_copies_tie_by_distance(case):
+    # copies a few ulps apart have distinct similarities that often round
+    # to one distance: that tie must still go to the lower index
+    check_kreciprocal_blocks(case)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=near_copies(lambda rng, shape: 1.0 + rng.uniform(0.0, 5e-5, size=(shape[0], 1))))
+def test_kreciprocal_similarities_above_one_tie_at_zero(case):
+    # rows scaled by up to 1 + 5e-5: copies of one row have similarities
+    # above 1, distinct, yet all at distance 0
+    check_kreciprocal_blocks(case)

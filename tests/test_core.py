@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from hybridreid import (
     save_features,
     validate_config,
 )
-from hybridreid.core import FEATURE_MAGIC
+from hybridreid.core import FEATURE_MAGIC, _atomic_open
 
 from conftest import make_feature_set
 from oracles import ref_members_of
@@ -300,11 +301,21 @@ class TestTrainConfig:
                                     hidden_dims=[np.int32(8)]))
 
     def test_kreciprocal_k_checked_against_sample_count(self):
-        cfg = TrainConfig(kreciprocal_k=30)
+        cfg = TrainConfig(kreciprocal_k=30, num_identities_per_batch=2)
         validate_config(cfg, num_samples=31)
         for n in (30, 2):
             with pytest.raises(ConfigError, match="kreciprocal_k"):
                 validate_config(cfg, num_samples=n)
+
+    def test_batch_identities_checked_against_cluster_bound(self):
+        # at most r N // (min_pts + r) clusters, r = max(1, min_pts - 1)
+        for min_pts, n_id, fits, short in ((4, 13, 31, 30), (2, 10, 30, 29),
+                                          (1, 10, 20, 19)):
+            cfg = TrainConfig(kreciprocal_k=5, dbscan_min_pts=min_pts,
+                              num_identities_per_batch=n_id)
+            validate_config(cfg, num_samples=fits)
+            with pytest.raises(ConfigError, match="num_identities_per_batch"):
+                validate_config(cfg, num_samples=short)
 
     def test_removed_jaccard_blend_field_rejected(self):
         with pytest.raises(ConfigError, match="jaccard_blend"):
@@ -312,3 +323,29 @@ class TestTrainConfig:
 
     def test_config_error_is_value_error(self):
         assert issubclass(ConfigError, ValueError)
+
+
+class TestAtomicOpen:
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with _atomic_open(path, newline="") as fh:
+                fh.write("new\n")
+                raise RuntimeError("interrupted")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["metrics.csv"]
+
+    def test_completed_write_replaces_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(b"old")
+        with _atomic_open(path, "wb") as fh:
+            fh.write(b"new bytes")
+        assert path.read_bytes() == b"new bytes"
+        assert os.listdir(tmp_path) == ["m.ckpt"]
+
+    def test_missing_directory_leaves_nothing(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            with _atomic_open(tmp_path / "absent" / "eval.json") as fh:
+                fh.write("{}")
+        assert os.listdir(tmp_path) == []

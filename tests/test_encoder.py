@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -233,6 +234,42 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(tmp_path / "none.ckpt")
+
+    def test_load_draws_no_initial_weights(self, rng, tmp_path, monkeypatch):
+        model = MLPEncoder([4, 6, 3], seed=2)
+        state = AdamState.for_model(model, base_lr=1e-3, weight_decay=1e-4)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, state, epoch=1)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        model2, state2, _ = load_checkpoint(path)
+        # the loaded arrays are the model's own: a step moves them alike
+        grads = [rng.standard_normal(p.shape) for p in model.parameters()]
+        adam_step(model, grads, state)
+        adam_step(model2, grads, state2)
+        for a, b in zip(model.parameters() + state.m + state.v,
+                        model2.parameters() + state2.m + state2.v):
+            assert a.flags.writeable and b.flags.writeable
+            assert a.tobytes() == b.tobytes()
+
+    def test_failed_save_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        model = MLPEncoder([3, 2], seed=0)
+        state = AdamState.for_model(model, base_lr=1e-3, weight_decay=0.0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, state, epoch=0)
+        old = path.read_bytes()
+
+        def full_disk(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(OSError):
+            save_checkpoint(path, MLPEncoder([3, 2], seed=1), state, epoch=5)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["m.ckpt"]
 
 
 @st.composite

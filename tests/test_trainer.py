@@ -3,6 +3,7 @@ import pytest
 
 from hybridreid import (
     ClusteringCollapseError,
+    ConfigError,
     MLPEncoder,
     SynthSpec,
     TrainConfig,
@@ -144,6 +145,19 @@ class TestEpochSkip:
         model = MLPEncoder([12, 16, 8], seed=1)
         before = [p.copy() for p in model.parameters()]
         train(feats, small_config(num_identities_per_batch=10), model=model)
+        for p, b in zip(model.parameters(), before):
+            assert np.array_equal(p, b)
+
+    def test_batch_larger_than_any_labeling_rejected_before_compute(self):
+        # 60 samples form at most 25 clusters at dbscan_min_pts=4
+        feats = train_features()
+        model = MLPEncoder([12, 16, 8], seed=1)
+        before = [p.copy() for p in model.parameters()]
+        log = []
+        with pytest.raises(ConfigError, match="num_identities_per_batch"):
+            train(feats, small_config(num_identities_per_batch=26), model=model,
+                  event_log=log)
+        assert log == []
         for p, b in zip(model.parameters(), before):
             assert np.array_equal(p, b)
 
