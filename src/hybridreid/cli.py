@@ -69,6 +69,19 @@ def _pin_blas_for_determinism() -> dict:
     return {"blas_threads_pinned": pinned}
 
 
+def _write_csv(path, header, rows):
+    with _atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, obj):
+    with _atomic_open(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -98,9 +111,7 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed, inputs: dict
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "manifest.json"
-    with _atomic_open(path) as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, manifest)
     return path
 
 
@@ -131,20 +142,18 @@ def _merge_config(args) -> TrainConfig:
 
 
 def _write_metrics_csv(path, reports, zero_seconds: bool):
-    with _atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for r in reports:
-            seconds = 0.0 if zero_seconds else r.seconds
-            writer.writerow([
-                r.epoch,
-                r.num_clusters,
-                r.num_outliers,
-                f"{r.loss:.10g}",
-                f"{r.loss_cls:.10g}",
-                f"{r.loss_ins:.10g}",
-                f"{seconds:.6f}",
-            ])
+    _write_csv(path, METRICS_HEADER, (
+        [
+            r.epoch,
+            r.num_clusters,
+            r.num_outliers,
+            f"{r.loss:.10g}",
+            f"{r.loss_cls:.10g}",
+            f"{r.loss_ins:.10g}",
+            f"{0.0 if zero_seconds else r.seconds:.6f}",
+        ]
+        for r in reports
+    ))
 
 
 def _evaluate_sets(query, gallery, model=None, junk_filter=True):
@@ -198,11 +207,8 @@ def cmd_cluster(args) -> int:
                     num_samples=features.shape[0])
     emb = l2_normalize(features)
     labels = pseudo_label(emb, args.kreciprocal_k, args.dbscan_eps, args.dbscan_min_pts)
-    with _atomic_open(labels_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "cluster_id"])
-        for i, c in enumerate(labels.assignment):
-            writer.writerow([i, int(c)])
+    _write_csv(labels_path, ["sample_index", "cluster_id"],
+               ([i, int(c)] for i, c in enumerate(labels.assignment)))
     print(f"clusters={labels.num_clusters} outliers={labels.num_outliers} "
           f"of {labels.num_samples} samples")
     return EXIT_OK
@@ -232,9 +238,7 @@ def cmd_train(args) -> int:
         result = _evaluate_sets(load_features(args.query),
                                 load_features(args.gallery), model=model)
         metrics = result.metrics()
-        with _atomic_open(out_dir / "eval.json") as fh:
-            json.dump(metrics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out_dir / "eval.json", metrics)
         print("  ".join(f"{k}={v:.4f}" for k, v in sorted(metrics.items())))
     return EXIT_OK
 
@@ -259,15 +263,12 @@ def cmd_evaluate(args) -> int:
                             model=model, junk_filter=not args.no_junk_filter)
     metrics = result.metrics()
     if args.out_dir:
-        with _atomic_open(metrics_path) as fh:
-            json.dump(metrics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(metrics_path, metrics)
         if args.per_query:
-            with _atomic_open(per_query_path, newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["query_index", "average_precision"])
-                for i, ap in enumerate(result.average_precisions):
-                    writer.writerow([i, "" if np.isnan(ap) else f"{ap:.10g}"])
+            _write_csv(per_query_path, ["query_index", "average_precision"], (
+                [i, "" if np.isnan(ap) else f"{ap:.10g}"]
+                for i, ap in enumerate(result.average_precisions)
+            ))
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -313,18 +314,11 @@ def cmd_ablate(args) -> int:
             results = list(pool.map(_ablate_run, payloads))
     else:
         results = [_ablate_run(p) for p in payloads]
-    with _atomic_open(summary_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ABLATE_HEADER)
-        for mu, seed, metrics in results:
-            writer.writerow([
-                f"{mu:.10g}",
-                seed,
-                f"{metrics['mAP']:.10g}",
-                f"{metrics['rank1']:.10g}",
-                f"{metrics['rank5']:.10g}",
-                f"{metrics['rank10']:.10g}",
-            ])
+    # the columns after mu and seed are metric names
+    _write_csv(summary_path, ABLATE_HEADER, (
+        [f"{mu:.10g}", seed, *(f"{metrics[k]:.10g}" for k in ABLATE_HEADER[2:])]
+        for mu, seed, metrics in results
+    ))
     for mu in args.mu_values:
         cells = [m["mAP"] for m2, _, m in results if m2 == mu]
         print(f"mu={mu:g}: mean mAP={np.mean(cells):.4f} over {len(cells)} seeds")

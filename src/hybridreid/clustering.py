@@ -16,31 +16,11 @@ from .core import OUTLIER, PseudoLabeling
 BLOCK_ROWS = 256
 
 
-def _check_unit_rows(rows, who):
-    if rows.shape[0] and not np.allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-4):
-        raise ValueError(f"{who} expects unit-norm rows")
-
-
 def _distance_from_similarity(sim):
     """``sqrt(2 - 2 sim)``, clipped at 0, computed in place."""
     sim *= -2.0
     sim += 2.0
     return np.sqrt(np.clip(sim, 0.0, None, out=sim), out=sim)
-
-
-def pairwise_euclidean(a: np.ndarray, b: np.ndarray = None) -> np.ndarray:
-    """Euclidean distances ``sqrt(2 - 2 <a_i, b_j>)`` between unit-norm rows,
-    exact for unit vectors. ``b`` defaults to ``a``, which gives an exactly
-    symmetric matrix with a zero diagonal."""
-    a = np.asarray(a, dtype=np.float64)
-    b = a if b is None else np.asarray(b, dtype=np.float64)
-    _check_unit_rows(a, "pairwise_euclidean")
-    if b is not a:
-        _check_unit_rows(b, "pairwise_euclidean")
-    dist = _distance_from_similarity(a @ b.T)
-    if b is a:
-        np.fill_diagonal(dist, 0.0)
-    return dist
 
 
 def _may_tie(s_next, s_k):
@@ -87,17 +67,18 @@ def k_reciprocal_neighbors(emb: np.ndarray, k: int):
     """Boolean CSR matrix of k-reciprocal neighbor sets of the rows of ``emb``.
 
     Row i holds ``R(i) = {j : j in kNN(i) and i in kNN(j)}`` in ascending
-    order, with kNN by ``pairwise_euclidean`` distance, excluding the
-    sample itself and with ties at the k-th distance broken by lower index.
-    Similarities come BLOCK_ROWS rows at a time from the GEMM that
-    ``pairwise_euclidean`` makes and are ranked as they are; only rows where
+    order, with kNN by the distance ``sqrt(2 - 2 <e_i, e_j>)`` between
+    unit-norm rows, excluding the sample itself and with ties at the k-th
+    distance broken by lower index. Similarities come BLOCK_ROWS rows at a
+    time from one GEMM and are ranked as they are; only rows where
     ``_may_tie`` finds a possible tie at the k-th distance compute distances.
     """
     emb = np.asarray(emb, dtype=np.float64)
     n = emb.shape[0]
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n; got k={k}, n={n}")
-    _check_unit_rows(emb, "k_reciprocal_neighbors")
+    if not np.allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-4):
+        raise ValueError("k_reciprocal_neighbors expects unit-norm rows")
     knn = np.empty((n, k), dtype=np.int64)
     for lo in range(0, n, BLOCK_ROWS):
         sim = emb[lo:lo + BLOCK_ROWS] @ emb.T

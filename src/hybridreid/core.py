@@ -97,9 +97,6 @@ class PseudoLabeling:
     def num_outliers(self) -> int:
         return int(np.sum(self.assignment == OUTLIER))
 
-    def non_outlier_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.assignment != OUTLIER)
-
     @cached_property
     def members(self) -> list:
         """Each cluster's sample indices in ascending order, from one stable
@@ -256,11 +253,6 @@ class TrainConfig:
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config root must be a JSON object")
         return cls.from_dict(data)
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _is_int(value) -> bool:

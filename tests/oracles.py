@@ -34,6 +34,12 @@ def fd_grad(f, x, h=1e-6):
     return grad
 
 
+def ref_pairwise_euclidean(a, b):
+    """Euclidean distances between unit-norm rows of ``a`` and ``b`` from
+    their inner products, the same bits k-reciprocal ranking computes."""
+    return np.sqrt(np.clip(2.0 - 2.0 * (a @ b.T), 0.0, None))
+
+
 def ref_knn_sets(dist, k):
     """First k non-self neighbors per row, ties by lower index."""
     n = dist.shape[0]

@@ -66,7 +66,7 @@ class TestPseudoLabeling:
         assert lab.num_samples == 5
         assert lab.num_outliers == 1
         assert [m.tolist() for m in lab.members] == [[0, 3], [1, 4]]
-        assert lab.non_outlier_indices().tolist() == [0, 1, 3, 4]
+        assert np.flatnonzero(lab.assignment != OUTLIER).tolist() == [0, 1, 3, 4]
         lab.validate()
 
     @settings(max_examples=50, deadline=None)
@@ -233,7 +233,8 @@ class TestTrainConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = TrainConfig(tau_c=0.1, seed=9)
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
+        with open(path, "w") as fh:
+            json.dump(cfg.to_dict(), fh)
         assert TrainConfig.from_json(path) == cfg
 
     def test_unknown_field_rejected(self):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from hybridreid import (
     TrainConfig,
     evaluate_retrieval,
     generate,
+    pseudo_label,
     train,
 )
+from hybridreid import trainer
 from hybridreid.trainer import embed_all
 
 EVENT_ORDER = [
@@ -20,6 +24,41 @@ EVENT_ORDER = [
     "cluster_bank_update",
     "instance_bank_update",
 ]
+
+# the names hybridreid.trainer imports that step_log records, in EVENT_ORDER
+RECORDED = dict(zip(
+    ["cluster_loss", "hard_instance_loss", "adam_step", "update_cluster_bank",
+     "update_instance_bank"],
+    EVENT_ORDER,
+))
+
+
+@pytest.fixture
+def step_log(monkeypatch):
+    """A list of (epoch, iteration, name) for each loss read, optimizer step
+    and bank write ``train`` makes, in call order, recorded by wrapping the
+    names the trainer calls. Each ``pseudo_label`` call starts an epoch and
+    each instance-bank write ends an iteration."""
+    log = []
+    at = {"epoch": -1, "iteration": 0}
+
+    def start_epoch(*args, **kwargs):
+        at["epoch"] += 1
+        at["iteration"] = 0
+        return pseudo_label(*args, **kwargs)
+
+    def recorder(fn, name):
+        def wrapped(*args, **kwargs):
+            log.append((at["epoch"], at["iteration"], name))
+            if name == EVENT_ORDER[-1]:
+                at["iteration"] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(trainer, "pseudo_label", start_epoch)
+    for attr, name in RECORDED.items():
+        monkeypatch.setattr(trainer, attr, recorder(getattr(trainer, attr), name))
+    return log
 
 
 def easy_dataset(num_identities=6, instances=10, dims=12, seed=5):
@@ -56,41 +95,38 @@ def train_features(**kw):
 
 
 class TestEventOrdering:
-    def test_per_iteration_order(self):
+    def test_per_iteration_order(self, step_log):
         feats = train_features()
-        log = []
-        train(feats, small_config(mu=0.5), event_log=log)
-        assert log, "no events recorded"
+        train(feats, small_config(mu=0.5))
+        assert step_log, "no events recorded"
         groups = {}
-        for epoch, it, name in log:
+        for epoch, it, name in step_log:
             groups.setdefault((epoch, it), []).append(name)
         for names in groups.values():
             assert names == EVENT_ORDER
 
-    def test_mu_zero_never_touches_cluster_loss(self):
+    def test_mu_zero_never_touches_cluster_loss(self, step_log):
         feats = train_features()
-        log = []
-        train(feats, small_config(mu=0.0), event_log=log)
-        names = {name for _, _, name in log}
+        train(feats, small_config(mu=0.0))
+        names = {name for _, _, name in step_log}
         assert "cluster_loss" not in names
         assert "instance_loss" in names
 
-    def test_mu_one_never_touches_instance_loss(self):
+    def test_mu_one_never_touches_instance_loss(self, step_log):
         feats = train_features()
-        log = []
-        train(feats, small_config(mu=1.0), event_log=log)
-        names = {name for _, _, name in log}
+        train(feats, small_config(mu=1.0))
+        names = {name for _, _, name in step_log}
         assert "instance_loss" not in names
         assert "cluster_loss" in names
 
-    def test_banks_updated_every_iteration_even_at_endpoints(self):
+    def test_banks_updated_every_iteration_even_at_endpoints(self, step_log):
         feats = train_features()
         for mu in (0.0, 1.0):
-            log = []
-            train(feats, small_config(mu=mu), event_log=log)
-            steps = [n for _, _, n in log if n == "optimizer_step"]
-            cbank = [n for _, _, n in log if n == "cluster_bank_update"]
-            ibank = [n for _, _, n in log if n == "instance_bank_update"]
+            step_log.clear()
+            train(feats, small_config(mu=mu))
+            steps = [n for _, _, n in step_log if n == "optimizer_step"]
+            cbank = [n for _, _, n in step_log if n == "cluster_bank_update"]
+            ibank = [n for _, _, n in step_log if n == "instance_bank_update"]
             assert len(steps) == len(cbank) == len(ibank) > 0
 
 
@@ -120,13 +156,10 @@ class TestReports:
 
 
 class TestEpochSkip:
-    def test_too_few_clusters_skips_training(self):
+    def test_too_few_clusters_skips_training(self, step_log):
         feats = train_features(num_identities=3)
-        log = []
-        _, _, reports = train(
-            feats, small_config(num_identities_per_batch=10), event_log=log
-        )
-        assert log == []
+        _, _, reports = train(feats, small_config(num_identities_per_batch=10))
+        assert step_log == []
         assert len(reports) == 3
         for r in reports:
             assert r.loss == 0.0
@@ -148,18 +181,38 @@ class TestEpochSkip:
         for p, b in zip(model.parameters(), before):
             assert np.array_equal(p, b)
 
-    def test_batch_larger_than_any_labeling_rejected_before_compute(self):
+    def test_batch_larger_than_any_labeling_rejected_before_compute(self, step_log):
         # 60 samples form at most 25 clusters at dbscan_min_pts=4
         feats = train_features()
         model = MLPEncoder([12, 16, 8], seed=1)
         before = [p.copy() for p in model.parameters()]
-        log = []
         with pytest.raises(ConfigError, match="num_identities_per_batch"):
-            train(feats, small_config(num_identities_per_batch=26), model=model,
-                  event_log=log)
-        assert log == []
+            train(feats, small_config(num_identities_per_batch=26), model=model)
+        assert step_log == []
         for p, b in zip(model.parameters(), before):
             assert np.array_equal(p, b)
+
+
+class TestLogging:
+    def test_one_info_record_per_epoch(self, caplog):
+        caplog.set_level(logging.INFO, logger="hybridreid.trainer")
+        train(train_features(), small_config(epochs=2))
+        records = [r for r in caplog.records if r.name == "hybridreid.trainer"]
+        assert [r.levelno for r in records] == [logging.INFO] * 2
+        assert [r.getMessage().split(":")[0] for r in records] == ["epoch 0", "epoch 1"]
+
+    def test_one_warning_per_skipped_epoch(self, caplog):
+        caplog.set_level(logging.INFO, logger="hybridreid.trainer")
+        feats = train_features(num_identities=3)
+        train(feats, small_config(num_identities_per_batch=10))
+        records = [r for r in caplog.records if r.name == "hybridreid.trainer"]
+        warnings = [r.getMessage() for r in records if r.levelno == logging.WARNING]
+        infos = [r.getMessage() for r in records if r.levelno == logging.INFO]
+        assert len(records) == len(warnings) + len(infos) == 6
+        for epoch in range(3):
+            assert warnings[epoch].startswith(f"epoch {epoch}: ")
+            assert warnings[epoch].endswith("skipping")
+            assert infos[epoch].startswith(f"epoch {epoch}: ")
 
 
 class TestIdentityWall:
@@ -243,9 +296,11 @@ class TestEndToEnd:
 
 
 class TestEmbedAll:
-    def test_chunking_matches_single_pass(self, rng):
+    def test_chunking_matches_single_pass(self, rng, monkeypatch):
         model = MLPEncoder([6, 8, 4], seed=0)
         feats = rng.standard_normal((23, 6))
-        a = embed_all(model, feats, chunk_size=7)
-        b = embed_all(model, feats, chunk_size=512)
+        monkeypatch.setattr(trainer, "EMBED_CHUNK", 7)
+        a = embed_all(model, feats)
+        monkeypatch.setattr(trainer, "EMBED_CHUNK", 512)
+        b = embed_all(model, feats)
         assert np.allclose(a, b, atol=1e-12)
