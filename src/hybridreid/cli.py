@@ -156,6 +156,18 @@ def _write_metrics_csv(path, reports, zero_seconds: bool):
     ))
 
 
+def _require_trained(reports, cfg: TrainConfig):
+    """Raise ClusteringCollapseError when no epoch formed a batch, so that
+    an untrained model is never saved or scored as a trained one."""
+    if all(r.num_clusters < cfg.num_identities_per_batch for r in reports):
+        raise ClusteringCollapseError(
+            f"no epoch trained: the per-epoch cluster counts "
+            f"{[r.num_clusters for r in reports]} are all below "
+            f"num_identities_per_batch={cfg.num_identities_per_batch}; "
+            f"loosen eps/min_pts or lower num_identities_per_batch"
+        )
+
+
 def _evaluate_sets(query, gallery, model=None, junk_filter=True):
     if model is not None:
         q_emb = embed_all(model, query.features)
@@ -229,11 +241,11 @@ def cmd_train(args) -> int:
     write_manifest(out_dir, "train", cfg.to_dict(), cfg.seed, inputs, outputs, pinning)
     model, opt, reports = train(load_features(args.features).features, cfg)
     _write_metrics_csv(metrics_path, reports, zero_seconds=args.deterministic)
+    _require_trained(reports, cfg)
     save_checkpoint(ckpt_path, model, opt, epoch=cfg.epochs)
-    last = reports[-1] if reports else None
-    if last is not None:
-        print(f"trained {cfg.epochs} epochs: C={last.num_clusters} "
-              f"outliers={last.num_outliers} loss={last.loss:.4f}")
+    last = reports[-1]
+    print(f"trained {cfg.epochs} epochs: C={last.num_clusters} "
+          f"outliers={last.num_outliers} loss={last.loss:.4f}")
     if args.query and args.gallery:
         result = _evaluate_sets(load_features(args.query),
                                 load_features(args.gallery), model=model)
@@ -281,7 +293,8 @@ def _ablate_run(payload):
         _limit_blas_threads(1)
     cfg_dict = dict(cfg_dict, mu=mu, seed=seed)
     cfg = TrainConfig.from_dict(cfg_dict)
-    model, _, _ = train(load_features(features_path).features, cfg)
+    model, _, reports = train(load_features(features_path).features, cfg)
+    _require_trained(reports, cfg)
     result = _evaluate_sets(load_features(query_path),
                             load_features(gallery_path), model=model)
     return (mu, seed, result.metrics())

@@ -39,7 +39,8 @@ class NumericError(HybridReidError):
 
 
 class ClusteringCollapseError(HybridReidError):
-    """Clustering produced no clusters for several consecutive epochs."""
+    """Clustering produced no clusters for several consecutive epochs, or
+    never enough clusters for one batch in a whole run."""
 
 
 class EvaluationError(HybridReidError, ValueError):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from hybridreid import TrainConfig, l2_normalize, load_checkpoint, load_features, pseudo_label
+from hybridreid import cli
 from hybridreid.cli import _write_metrics_csv, main
 from hybridreid.trainer import EpochReport
 
@@ -392,6 +394,47 @@ class TestExitCodes:
             "--num-identities-per-batch", "2",
         ])
         assert rc == 5
+        capsys.readouterr()
+
+    def test_no_trained_epoch_exits_5_without_checkpoint(self, dataset_dir, tmp_path,
+                                                         capsys):
+        # 4 identities form about 4 clusters an epoch, fewer than the 10 a
+        # batch needs, though validate_config allows up to 13
+        train_out, ablate_out = tmp_path / "t", tmp_path / "a"
+        flags = ["--epochs", "2", "--kreciprocal-k", "7",
+                 "--num-identities-per-batch", "10"]
+        assert main(["train", "--features", str(dataset_dir / "train.feat"),
+                     "--out-dir", str(train_out), *flags]) == 5
+        err = capsys.readouterr().err
+        assert "no epoch trained" in err and "num_identities_per_batch=10" in err
+        assert sorted(p.name for p in train_out.iterdir()) == ["manifest.json",
+                                                               "metrics.csv"]
+        with open(train_out / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 and all(int(r["C"]) < 10 for r in rows)
+        assert main(["ablate", "--features", str(dataset_dir / "train.feat"),
+                     "--query", str(dataset_dir / "query.feat"),
+                     "--gallery", str(dataset_dir / "gallery.feat"),
+                     "--out-dir", str(ablate_out), "--mu-values", "0.5",
+                     "--seeds", "0", *flags]) == 5
+        assert sorted(p.name for p in ablate_out.iterdir()) == ["manifest.json"]
+        capsys.readouterr()
+
+    def test_one_trained_epoch_exits_0(self, dataset_dir, tmp_path, capsys,
+                                       monkeypatch):
+        # every epoch but the last reports too few clusters for a batch
+        train = cli.train
+
+        def train_then_skip_early(features, cfg):
+            model, opt, reports = train(features, cfg)
+            early = [dataclasses.replace(r, num_clusters=0) for r in reports[:-1]]
+            return model, opt, early + reports[-1:]
+
+        monkeypatch.setattr(cli, "train", train_then_skip_early)
+        out = tmp_path / "o"
+        assert main(["train", "--features", str(dataset_dir / "train.feat"),
+                     "--out-dir", str(out), *TRAIN_FLAGS]) == 0
+        assert (out / "checkpoint.ckpt").exists()
         capsys.readouterr()
 
     def test_ablate_mu_out_of_range_exits_2(self, dataset_dir, tmp_path,

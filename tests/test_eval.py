@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridreid import EvaluationError, NumericError, evaluate_retrieval, l2_normalize
+from hybridreid import evaluation
 from hybridreid.evaluation import SCREEN_BLOCK
 
 from oracles import (
@@ -99,6 +100,15 @@ class TestRankGallery:
         (q if side == "query" else g)[1, 0] = bad
         with pytest.raises(NumericError):
             evaluate_retrieval(q, g, [1, 2], [0, 0], [1, 2, 3], [1, 1, 1])
+
+    @pytest.mark.parametrize("name", ["q_ids", "q_cams", "g_ids", "g_cams"])
+    def test_misaligned_labels_rejected(self, name):
+        labels = {"q_ids": [1, 2], "q_cams": [0, 0], "g_ids": [1, 2, 3],
+                  "g_cams": [1, 1, 1]}
+        labels[name] = labels[name][:-1]
+        with pytest.raises(ValueError, match=name):
+            evaluate_retrieval(embed_on_line([0.0, 1.0]),
+                               embed_on_line([0.1, 0.9, 2.0]), **labels)
 
 
 class TestJunkFiltering:
@@ -280,6 +290,79 @@ def test_single_pass_matches_per_query_reference(case, junk_filter):
 
 
 @st.composite
+def multi_block_retrieval(draw):
+    """Tie-rich lattice rows for one to three screen blocks of queries.
+    Gallery ids are 0-2 and query ids 0-4, so some query identities are
+    absent from the gallery, and one whole block of queries carries only
+    those, so at least one block scores no query."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nq = draw(st.integers(SCREEN_BLOCK + 1, 3 * SCREEN_BLOCK))
+    ng = draw(st.integers(1, 60))
+    distinct = rng.integers(0, 3, (draw(st.integers(1, 8)), 2))
+    q_ids = rng.integers(0, 5, nq)
+    empty = draw(st.integers(0, nq // SCREEN_BLOCK - 1)) * SCREEN_BLOCK
+    q_ids[empty:empty + SCREEN_BLOCK] = rng.integers(3, 5, SCREEN_BLOCK)
+    return (
+        rng.integers(0, 3, (nq, 2)).astype(float),
+        distinct[rng.integers(0, len(distinct), ng)].astype(float),
+        q_ids,
+        rng.integers(0, 2, nq),
+        rng.integers(0, 3, ng),
+        rng.integers(0, 2, ng),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=multi_block_retrieval(), junk_filter=st.booleans())
+def test_blocks_match_per_query_reference(case, junk_filter):
+    assert_matches_reference(case, junk_filter)
+
+
+def per_query_scores(case):
+    """APs and first-hit CMC from one evaluate_retrieval call per query."""
+    q, g, q_ids, q_cams, g_ids, g_cams = case
+    aps, cmcs = [], []
+    for i in range(len(q)):
+        try:
+            res = evaluate_retrieval(q[i:i + 1], g, q_ids[i:i + 1],
+                                     q_cams[i:i + 1], g_ids, g_cams)
+        except EvaluationError:
+            aps.append(np.nan)
+            continue
+        aps.append(res.average_precisions[0])
+        cmcs.append(res.cmc)
+    return np.array(aps), {k: np.mean([c[k] for c in cmcs]) for k in cmcs[0]}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scores_do_not_depend_on_blocking(seed, monkeypatch):
+    """Real-valued rows with duplicates, some query ids absent from the
+    gallery: one call, one call per query and blocks of 1 and 7 queries
+    give the same APs and CMC bit for bit."""
+    rng = np.random.default_rng(seed)
+    nq = 3 * SCREEN_BLOCK + 5
+    distinct = l2_normalize(rng.standard_normal((40, 16)))
+    case = (
+        np.concatenate([distinct[rng.integers(0, 40, nq // 2)],
+                        l2_normalize(rng.standard_normal((nq - nq // 2, 16)))]),
+        distinct[rng.integers(0, 40, 300)],
+        rng.integers(0, 12, nq),
+        rng.integers(0, 3, nq),
+        rng.integers(0, 10, 300),
+        rng.integers(0, 3, 300),
+    )
+    whole = evaluate_retrieval(*case)
+    aps, cmc = per_query_scores(case)
+    assert np.array_equal(whole.average_precisions, aps, equal_nan=True)
+    assert whole.cmc == cmc
+    for block in (1, 7):
+        monkeypatch.setattr(evaluation, "SCREEN_BLOCK", block)
+        res = evaluate_retrieval(*case)
+        assert np.array_equal(res.average_precisions, aps, equal_nan=True)
+        assert res.cmc == cmc
+
+
+@st.composite
 def duplicated_real_rows(draw):
     """Real-valued unit rows repeated at random gallery positions, and
     queries copied from them. Lattice points cannot stand in: a GEMM
@@ -372,16 +455,25 @@ def test_metrics_dict_keys(rng):
 
 
 def test_peak_memory_below_one_dense_matrix(rng):
+    """Clustered embeddings, and random ones where most of the gallery
+    survives the screen: the peak stays within four screen blocks of
+    float64 gallery rows (3.9 MiB here), far below the 15 MiB query x
+    gallery matrix."""
     nq, ng = 500, 4000
     protos = l2_normalize(rng.standard_normal((100, 32)))
     q_ids, g_ids = np.arange(nq) % 100, np.arange(ng) % 100
-    q = l2_normalize(protos[q_ids] + 0.3 * rng.standard_normal((nq, 32)))
-    g = l2_normalize(protos[g_ids] + 0.3 * rng.standard_normal((ng, 32)))
-    tracemalloc.start()
-    try:
-        res = evaluate_retrieval(q, g, q_ids, np.zeros(nq), g_ids, np.arange(ng) % 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert res.map > 0
-    assert peak < nq * ng * 8, f"peak {peak / 2**20:.1f} MiB"
+    sets = {
+        "clustered": (l2_normalize(protos[q_ids] + 0.3 * rng.standard_normal((nq, 32))),
+                      l2_normalize(protos[g_ids] + 0.3 * rng.standard_normal((ng, 32)))),
+        "random": (l2_normalize(rng.standard_normal((nq, 32))),
+                   l2_normalize(rng.standard_normal((ng, 32)))),
+    }
+    for name, (q, g) in sets.items():
+        tracemalloc.start()
+        try:
+            res = evaluate_retrieval(q, g, q_ids, np.zeros(nq), g_ids, np.arange(ng) % 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.map > 0
+        assert peak < 4 * SCREEN_BLOCK * ng * 8, f"{name}: peak {peak / 2**20:.1f} MiB"
