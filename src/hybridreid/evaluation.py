@@ -7,15 +7,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import EvaluationError, NumericError
+from .ranking import PAIR_CHUNK, _pair_distances, _screen_tolerance
 
 DEFAULT_RANKS = (1, 5, 10)
-# Queries scored together: the block's GEMM screen, distances and sort
-# keys are each at most SCREEN_BLOCK x gallery (32 x 9000 float64 is
-# 2.3 MB), so evaluation never holds a dense query x gallery matrix.
+# Queries scored together: the block's GEMM form, screen and sort keys are
+# each at most SCREEN_BLOCK x gallery (32 x 9000 float64 is 2.3 MB), so
+# evaluation never holds a dense query x gallery matrix.
 SCREEN_BLOCK = 32
+# Negative float64s order as int64s once every bit but the sign is flipped;
+# the same value sorts the screened-out items last.
+_LOW_BITS = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -33,65 +36,6 @@ class RetrievalResult:
         return out
 
 
-def _screen_tolerance(dims, scale):
-    """A bound, with a safety factor of about 4, on how far the screen's
-    GEMM form can put an item past the query's farthest match while
-    ``cdist`` puts it no farther; ``scale`` is |q| + max|g| per query.
-
-    The screen compares t = |g|^2 - 2 q.g, the squared distance less the
-    query's own |q|^2. Let u = eps/2, M = scale, d2 the exact squared
-    distance, and take the first-order error bounds of Higham (2002),
-    ch. 3, which hold for any summation order:
-
-    - |g|^2 and q.g are D-term dot products, each off by at most
-      D u |x| |y| (Cauchy-Schwarz). Scaling q by -2 is exact. The one
-      addition adds u |t|, and |t| <= |g|^2 + 2|q||g| <= M^2. So
-      |t - (d2 - |q|^2)| <= (D + 1) u M^2.
-    - ``cdist`` sums D rounded squares of rounded differences, all
-      non-negative, and takes a rounded square root c. So
-      |c^2 - d2| <= (D + 4) u d2 <= (D + 4) u M^2.
-
-    For an item j with c_j <= c_h, h the farthest match under ``cdist``:
-    t_j + |q|^2 <= d2_j + (D+1)uM^2 <= c_j^2 + (2D+5)uM^2
-    <= c_h^2 + (2D+5)uM^2 <= d2_h + (3D+9)uM^2 <= t_h + |q|^2 + (4D+10)uM^2,
-    so t_j <= t_h + (2D+5) eps M^2. 8 (D+4) eps M^2 is more than four
-    times that, which covers the second-order terms, the rounding of M, of
-    this product and of the cut ``max t[matches] + tol`` itself. Under
-    gradual underflow each product may also be off by up to half the
-    smallest subnormal; the chain above has at most 4D subnormals of such
-    error, and 8 (D+4) of them are added.
-    """
-    f = np.finfo(np.float64)
-    return 8 * (dims + 4) * (f.eps * scale ** 2 + f.smallest_subnormal)
-
-
-def _order_by_distance(dist):
-    """Each row's column indices in ascending (distance, column) order, for
-    non-negative distances with NaN marking the columns to put last. The
-    result is written over ``dist``'s buffer.
-
-    A stable argsort gives this order directly but costs about five times
-    an unstable one on a full gallery row. So an unstable sort finds each
-    item's run of equal distances, and one sort of unique integer keys
-    (the run's first position, then the column) orders the ties.
-    """
-    n = dist.shape[1]
-    # Non-negative doubles order as their int64 bit patterns, with NaN
-    # (0x7ff8...) above inf; a float argsort is far slower with NaN present.
-    key = dist.view(np.int64)
-    order = np.argsort(key, axis=1)
-    key.sort(axis=1)
-    tied = key[:, 1:] == key[:, :-1]
-    key[:] = np.arange(n)
-    key[:, 1:][tied] = 0
-    np.maximum.accumulate(key, axis=1, out=key)  # the position of each run's start
-    key *= n
-    key += order
-    key.sort(axis=1)
-    key %= n
-    return key
-
-
 def evaluate_retrieval(
     query_emb, gallery_emb, q_ids, q_cams, g_ids, g_cams,
     ks=DEFAULT_RANKS, junk_filter=True,
@@ -101,9 +45,11 @@ def evaluate_retrieval(
     The gallery is ranked by ascending Euclidean distance, ties broken by
     lower gallery index. A query's scores depend only on the ranks of its
     same-identity items among the kept (non-junk) gallery, so only the kept
-    items no farther than its farthest such item are ranked. One GEMM per
-    block of queries screens out the items that cannot be among them;
-    ``cdist`` distances alone decide which are and their order.
+    items no farther than its farthest such item need ranking. One GEMM per
+    block of queries screens out the items that cannot be among them and
+    orders the rest, and per-pair distances decide only between items
+    whose GEMM forms lie within the proven rounding bound
+    (``hybridreid.ranking``).
     """
     q = np.atleast_2d(np.asarray(query_emb, dtype=np.float64))
     g = np.atleast_2d(np.asarray(gallery_emb, dtype=np.float64))
@@ -120,8 +66,7 @@ def evaluate_retrieval(
             raise ValueError(f"{name} has shape {labels.shape}, "
                              f"expected ({side.shape[0]},) for the embedding rows")
     g_sq = np.einsum("ij,ij->i", g, g)
-    scale = np.sqrt(np.einsum("ij,ij->i", q, q)) + np.sqrt(g_sq.max())
-    tol = _screen_tolerance(q.shape[1], scale)
+    tol = _screen_tolerance(q, g_sq)
     # A query's same-identity items are one run of the gallery sorted by
     # identity, in gallery order.
     by_id = np.argsort(g_ids, kind="stable")
@@ -151,35 +96,48 @@ def evaluate_retrieval(
         first = np.cumsum(n_hits) - n_hits  # each row's first hit pair
         hit_row, hit_item = row[~junk], item[~junk]
         qb = q[rows]
-        # |g|^2 - 2 q.g: the squared distance less the query's own |q|^2.
-        # Rows whose norms overflow give inf or NaN here, which the cut keeps.
         with np.errstate(over="ignore", invalid="ignore"):
+            # |g|^2 - 2 q.g: the squared distance less the query's own |q|^2.
+            # Rows whose norms overflow give inf or NaN here, which the cut keeps.
             t = (-2.0 * qb) @ g.T
             t += g_sq
             cut = np.maximum.reduceat(t[hit_row, hit_item], first) + tol[rows]
-        # "not above" the cut: NaN (inf - inf) keeps an item, and once
-        # (|q| + max|g|)^2 overflows, the tolerance is inf and keeps all
-        screened = ~(t > cut[:, None])
-        del t
-        screened[row[junk], item[junk]] = False
-        # cdist, not the GEMM form: duplicate gallery rows must get equal
-        # distances for the lower-index tie rule to hold. Each distance is
-        # computed on its own, so those against a subset of the gallery
-        # equal the full row's. Past a third of the gallery, copying the
-        # rows any query kept costs more than the rest of the gallery.
-        cols = np.flatnonzero(screened.any(axis=0))
-        if 3 * cols.size > g.shape[0]:
-            dist, hit_col = cdist(qb, g), hit_item
-        else:
-            dist, hit_col = cdist(qb, g[cols]), np.searchsorted(cols, hit_item)
-            screened = screened[:, cols]
-        farthest = np.maximum.reduceat(dist[hit_row, hit_col], first)
-        dist[~(screened & (dist <= farthest[:, None]))] = np.nan
-        order = _order_by_distance(dist)
+            # "not above" the cut: NaN (inf - inf) keeps an item, and once
+            # (|q| + max|g|)^2 overflows, the tolerance is inf and keeps all
+            screened = ~(t > cut[:, None])
+            screened[row[junk], item[junk]] = False
+            cols = np.flatnonzero(screened.any(axis=0))
+            t, screened = t[:, cols], screened[:, cols]
+            # each row's survivors sorted by t, as int64 keys
+            key = t.view(np.int64)
+            key ^= (key >> 63) & _LOW_BITS
+            key[~screened] = _LOW_BITS
+            order = np.argsort(key, axis=1)
+            key.sort(axis=1)
+            key ^= (key >> 63) & _LOW_BITS
+            # Neighbours more than tol apart are in distance order, so only
+            # runs of survivors each within tol of the one before (a NaN gap
+            # too, where tol is inf) need per-pair distances. Distances grow
+            # from run to run, so sorting all of a row's run items by
+            # (distance, column) reorders each run in place.
+            joined = ~(np.diff(t, axis=1) > tol[rows, None])
+        joined &= np.arange(1, cols.size) < np.count_nonzero(screened, axis=1)[:, None]
+        del t, key
+        in_run = np.zeros(order.shape, dtype=bool)
+        in_run[:, 1:] = joined
+        in_run[:, :-1] |= joined
+        tied = np.flatnonzero(in_run.any(axis=1))
+        step = max(1, PAIR_CHUNK // cols.size)
+        for lo in range(0, tied.size, step):
+            sub = tied[lo:lo + step]
+            r, at = np.nonzero(in_run[sub])
+            j = order[sub[r], at]
+            dist = _pair_distances(qb, sub[r], g, cols[j])
+            order[sub[r], at] = j[np.lexsort((j, dist, r))]
         is_hit = np.zeros(order.shape, dtype=bool)
-        is_hit[hit_row, hit_col] = True
-        # each row's hits in rank order; the candidates sort before the
-        # NaNs, so a hit's position is its rank among the kept items
+        is_hit[hit_row, np.searchsorted(cols, hit_item)] = True
+        # each row's hits in rank order; the survivors sort first, so a
+        # hit's position is its rank among the kept items
         hit_row, at = np.nonzero(np.take_along_axis(is_hit, order, axis=1))
         ranks = at + 1
         nth = np.arange(ranks.size) - first[hit_row]

@@ -6,6 +6,7 @@ so the two can actually disagree.
 """
 
 import numpy as np
+from scipy import sparse
 
 
 def rel_err(a, b):
@@ -35,9 +36,21 @@ def fd_grad(f, x, h=1e-6):
 
 
 def ref_pairwise_euclidean(a, b):
-    """Euclidean distances between unit-norm rows of ``a`` and ``b`` from
-    their inner products, the same bits k-reciprocal ranking computes."""
-    return np.sqrt(np.clip(2.0 - 2.0 * (a @ b.T), 0.0, None))
+    """Euclidean distances between the rows of ``a`` and ``b``, each from its
+    two rows alone: the per-pair form of ``ref_rank_gallery``, so copies of a
+    row are at equal distances."""
+    b = np.asarray(b, dtype=np.float64)
+    return np.array([np.sqrt(((b - x) ** 2).sum(axis=1))
+                     for x in np.asarray(a, dtype=np.float64)]).reshape(len(a), len(b))
+
+
+def explicit_csr(dense):
+    """CSR matrix storing every entry of ``dense``, zeros included (a
+    conversion such as ``sparse.csr_array(dense)`` drops the zeros)."""
+    dense = np.asarray(dense, dtype=np.float64)
+    n, m = dense.shape
+    return sparse.csr_array((dense.ravel(), np.tile(np.arange(m), n),
+                             np.arange(0, n * m + 1, m)), shape=(n, m))
 
 
 def ref_knn_sets(dist, k):

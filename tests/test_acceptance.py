@@ -45,6 +45,7 @@ from hybridreid.trainer import embed_all
 
 from oracles import (
     canonical_partition,
+    explicit_csr,
     fd_grad,
     ref_dbscan,
     ref_evaluate,
@@ -172,7 +173,7 @@ def test_criterion_2_oracle_equivalence(capsys):
         np.fill_diagonal(d, 0.0)
         eps = float(rng.uniform(0.3, 1.5))
         min_pts = int(rng.integers(2, 10))
-        got = dbscan(d, eps, min_pts)
+        got = dbscan(explicit_csr(d), eps, min_pts)
         ref_labels, ref_c = ref_dbscan(d, eps, min_pts)
         if got.num_clusters != ref_c:
             mismatches += 1

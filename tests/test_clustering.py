@@ -13,6 +13,7 @@ from hybridreid.clustering import BLOCK_ROWS, jaccard_distance, k_reciprocal_nei
 from hybridreid.core import _max_clusters
 
 from oracles import (
+    explicit_csr,
     ref_dbscan,
     ref_jaccard,
     ref_kreciprocal,
@@ -43,8 +44,8 @@ def tie_rich_emb(rng, n, dims=3):
 
 
 def blocked_dist(emb, block=BLOCK_ROWS):
-    """The distances k_reciprocal_neighbors ranks: the same row blocks,
-    stacked (the self-distance, which it masks, is left as computed)."""
+    """The distances k_reciprocal_neighbors ranks by, stacked over its row
+    blocks; each is per pair, so the blocks cannot change a bit."""
     return np.vstack([ref_pairwise_euclidean(emb[lo:lo + block], emb)
                       for lo in range(0, emb.shape[0], block)])
 
@@ -67,15 +68,13 @@ class TestPairwiseEuclidean:
         assert np.allclose(ref_pairwise_euclidean(a, b), cdist(a, b), atol=1e-8)
 
     def test_row_blocks_match_full_matrix(self, rng):
-        # BLAS may split the sums differently for a block than for the
-        # symmetric full product, so only the last bits may differ
+        # each distance depends on its two rows alone: bit for bit, and
+        # exactly 0 on the diagonal
         emb = l2_normalize(rng.standard_normal((300, 16)))
         full = ref_pairwise_euclidean(emb, emb)
-        # near 0, sqrt magnifies a last-bit difference: skip the self-distance
-        off = ~np.eye(300, dtype=bool)
+        assert np.all(np.diag(full) == 0.0)
         for block in (1, 7, 64, 256):
-            rows = blocked_dist(emb, block)
-            assert np.max(np.abs(rows[off] - full[off])) <= 1e-12
+            assert np.array_equal(blocked_dist(emb, block), full)
 
 
 class TestKReciprocal:
@@ -187,7 +186,7 @@ class TestDbscan:
                 [0.9, 0.9, 0.9, 0.9, 0.0],
             ]
         )
-        lab = dbscan(d, eps=0.35, min_pts=2)
+        lab = dbscan(explicit_csr(d), eps=0.35, min_pts=2)
         assert lab.assignment.tolist() == [0, 0, 0, 0, OUTLIER]
         assert lab.num_clusters == 1
         assert lab.num_outliers == 1
@@ -197,7 +196,7 @@ class TestDbscan:
         # cores in both clusters; it must join the one started first
         pts = np.array([0.0, 0.1, 0.2, 0.3, 1.0, 1.1, 1.2, 1.3, 0.65])
         d = np.abs(pts[:, None] - pts[None, :])
-        lab = dbscan(d, eps=0.36, min_pts=3)
+        lab = dbscan(explicit_csr(d), eps=0.36, min_pts=3)
         assert lab.num_clusters == 2
         assert lab.assignment[8] == lab.assignment[0] == 0
         assert lab.assignment[4] == 1
@@ -208,7 +207,7 @@ class TestDbscan:
             d = random_dist(rng, n)
             eps = float(rng.uniform(0.5, 4.0))
             min_pts = int(rng.integers(1, 8))
-            got = dbscan(d, eps, min_pts)
+            got = dbscan(explicit_csr(d), eps, min_pts)
             ref_labels, ref_c = ref_dbscan(d, eps, min_pts)
             assert got.num_clusters == ref_c
             # deterministic numbering must match the reference exactly,
@@ -218,7 +217,7 @@ class TestDbscan:
     def test_all_outliers(self):
         d = np.full((5, 5), 10.0)
         np.fill_diagonal(d, 0.0)
-        lab = dbscan(d, eps=0.1, min_pts=2)
+        lab = dbscan(explicit_csr(d), eps=0.1, min_pts=2)
         assert lab.num_clusters == 0
         assert lab.num_outliers == 5
 
@@ -226,8 +225,8 @@ class TestDbscan:
         # pair of mutual neighbors: each has exactly 1 neighbor besides
         # itself, so min_pts=2 leaves both as outliers
         d = np.array([[0.0, 0.1], [0.1, 0.0]])
-        assert dbscan(d, eps=0.2, min_pts=2).num_clusters == 0
-        assert dbscan(d, eps=0.2, min_pts=1).num_clusters == 1
+        assert dbscan(explicit_csr(d), eps=0.2, min_pts=2).num_clusters == 0
+        assert dbscan(explicit_csr(d), eps=0.2, min_pts=1).num_clusters == 1
 
     def test_sparse_matches_dense(self, rng):
         for trial in range(25):
@@ -257,7 +256,7 @@ class TestDbscan:
         np.fill_diagonal(d, 0.0)
         for u, v in edges:
             d[u, v] = d[v, u] = 0.1
-        lab = dbscan(d, eps=0.5, min_pts=3)
+        lab = dbscan(explicit_csr(d), eps=0.5, min_pts=3)
         assert lab.assignment.tolist() == [0] * 4 + [1] * 4 + [2] * 4 + [3]
         assert 13 // (3 + 1) < lab.num_clusters <= _max_clusters(13, 3)
         for trial in range(200):
@@ -266,14 +265,20 @@ class TestDbscan:
             d = np.where(within | within.T, 0.1, 1.0)
             np.fill_diagonal(d, 0.0)
             min_pts = int(rng.integers(1, 7))
-            assert dbscan(d, 0.5, min_pts).num_clusters <= _max_clusters(n, min_pts)
+            lab = dbscan(explicit_csr(d), 0.5, min_pts)
+            assert lab.num_clusters <= _max_clusters(n, min_pts)
 
     def test_parameter_validation(self):
         d = np.zeros((3, 3))
         with pytest.raises(ValueError):
-            dbscan(d, eps=0.0, min_pts=1)
+            dbscan(explicit_csr(d), eps=0.0, min_pts=1)
         with pytest.raises(ValueError):
-            dbscan(d, eps=0.1, min_pts=0)
+            dbscan(explicit_csr(d), eps=0.1, min_pts=0)
+
+    def test_dense_matrix_rejected(self):
+        # a dense matrix would lose its zero distances to a CSR conversion
+        with pytest.raises(TypeError, match="sparse"):
+            dbscan(np.zeros((3, 3)), eps=0.1, min_pts=1)
 
 
 class TestPseudoLabelPipeline:
@@ -330,18 +335,20 @@ class TestPseudoLabelPipeline:
                 pseudo_label(emb, k=3, eps=eps, min_pts=2)
 
     def test_peak_memory_below_one_dense_matrix(self, rng):
+        # near copies, and exact ones, where every row takes per-pair
+        # distances for its 20 tied columns
         n = 3000
         protos = l2_normalize(rng.standard_normal((150, 64)))
-        emb = l2_normalize(np.repeat(protos, 20, axis=0)
-                           + 0.05 * rng.standard_normal((n, 64)))
-        tracemalloc.start()
-        try:
-            lab = pseudo_label(emb, k=30, eps=0.45, min_pts=4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert lab.num_clusters > 0
-        assert peak < n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+        copies = np.repeat(protos, 20, axis=0)
+        for emb in (l2_normalize(copies + 0.05 * rng.standard_normal((n, 64))), copies):
+            tracemalloc.start()
+            try:
+                lab = pseudo_label(emb, k=30, eps=0.45, min_pts=4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert lab.num_clusters > 0
+            assert peak < n * n * 8, f"peak {peak / 2**20:.1f} MiB"
 
 
 # distances 1 - |A & B| / |A | B| of small sets, so eps lands on the boundary
@@ -402,7 +409,28 @@ def test_kreciprocal_ulp_apart_copies_tie_by_distance(case):
 
 @settings(max_examples=200, deadline=None)
 @given(case=near_copies(lambda rng, shape: 1.0 + rng.uniform(0.0, 5e-5, size=(shape[0], 1))))
-def test_kreciprocal_similarities_above_one_tie_at_zero(case):
-    # rows scaled by up to 1 + 5e-5: copies of one row have similarities
-    # above 1, distinct, yet all at distance 0
+def test_kreciprocal_scaled_copies_rank_by_distance(case):
+    # rows scaled by up to 1 + 5e-5: copies of one row have distinct
+    # similarities above 1 and small distinct distances
     check_kreciprocal_blocks(case)
+
+
+@st.composite
+def repeated_rows(draw):
+    """2..5 real-valued unit rows in 8..64 dims repeated over 9..40
+    positions, and k in 2..5. A GEMM can give copies of a row unequal
+    distances when they fall in different kernel tails, and then the
+    lower-index rule picks copies by position."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    base = l2_normalize(rng.standard_normal((draw(st.integers(2, 5)),
+                                             draw(st.integers(8, 64)))))
+    emb = base[rng.integers(0, base.shape[0], size=draw(st.integers(9, 40)))]
+    return emb, draw(st.integers(2, 5), label="k")
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=repeated_rows())
+def test_kreciprocal_copies_tie_to_lower_index(case):
+    emb, k = case
+    got = k_reciprocal_neighbors(emb, k)
+    assert np.array_equal(got.toarray(), ref_kreciprocal(blocked_dist(emb), k))

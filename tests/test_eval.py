@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -455,10 +457,11 @@ def test_metrics_dict_keys(rng):
 
 
 def test_peak_memory_below_one_dense_matrix(rng):
-    """Clustered embeddings, and random ones where most of the gallery
-    survives the screen: the peak stays within four screen blocks of
-    float64 gallery rows (3.9 MiB here), far below the 15 MiB query x
-    gallery matrix."""
+    """Clustered embeddings; random ones, where most of the gallery survives
+    the screen; and copies of four rows, where every survivor sits in a tie
+    run that per-pair distances reorder: the peak stays within four screen
+    blocks of float64 gallery rows (3.9 MiB here), far below the 15 MiB
+    query x gallery matrix."""
     nq, ng = 500, 4000
     protos = l2_normalize(rng.standard_normal((100, 32)))
     q_ids, g_ids = np.arange(nq) % 100, np.arange(ng) % 100
@@ -468,6 +471,8 @@ def test_peak_memory_below_one_dense_matrix(rng):
         "random": (l2_normalize(rng.standard_normal((nq, 32))),
                    l2_normalize(rng.standard_normal((ng, 32)))),
     }
+    distinct = l2_normalize(rng.standard_normal((4, 32)))
+    sets["duplicates"] = (distinct[rng.integers(0, 4, nq)], distinct[rng.integers(0, 4, ng)])
     for name, (q, g) in sets.items():
         tracemalloc.start()
         try:
@@ -477,3 +482,13 @@ def test_peak_memory_below_one_dense_matrix(rng):
             tracemalloc.stop()
         assert res.map > 0
         assert peak < 4 * SCREEN_BLOCK * ng * 8, f"{name}: peak {peak / 2**20:.1f} MiB"
+
+
+def test_package_import_leaves_out_scipy_spatial():
+    """Ranking is numpy alone: importing the package loads no scipy.spatial
+    module (checked in a fresh interpreter, since the tests import it)."""
+    code = ("import sys, hybridreid; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
