@@ -115,28 +115,33 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed, inputs: dict
     return path
 
 
-def _add_config_flags(sp: argparse.ArgumentParser):
-    sp.add_argument("--config", default=None,
-                    help="JSON file with training config fields")
-    for field in dataclasses.fields(TrainConfig):
-        flag = "--" + field.name.replace("_", "-")
-        kind = type(field.default)
-        if kind is tuple:
-            sp.add_argument(flag, type=int, nargs="+", default=None)
-        else:
-            sp.add_argument(flag, type=kind, default=None)
+# the TrainConfig fields that pseudo_label takes
+CLUSTER_FIELDS = ("kreciprocal_k", "dbscan_eps", "dbscan_min_pts")
+
+
+def _add_field_flags(sp: argparse.ArgumentParser, cls, names=None):
+    """One flag per field of the dataclass ``cls`` (or per field in
+    ``names``), typed by its default; left out, a flag reads None."""
+    for field in dataclasses.fields(cls):
+        if names is None or field.name in names:
+            flag = "--" + field.name.replace("_", "-")
+            kind = type(field.default)
+            if kind is tuple:
+                sp.add_argument(flag, type=int, nargs="+")
+            else:
+                sp.add_argument(flag, type=kind)
+
+
+def _given_fields(args, cls) -> dict:
+    """The fields of the dataclass ``cls`` given as flags."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+            if getattr(args, f.name, None) is not None}
 
 
 def _merge_config(args) -> TrainConfig:
     """defaults < config file < explicit CLI flags."""
-    merged = TrainConfig().to_dict()
-    if args.config is not None:
-        merged.update(TrainConfig.from_json(args.config).to_dict())
-    for field in dataclasses.fields(TrainConfig):
-        value = getattr(args, field.name, None)
-        if value is not None:
-            merged[field.name] = value
-    cfg = TrainConfig.from_dict(merged)
+    cfg = TrainConfig() if args.config is None else TrainConfig.from_json(args.config)
+    cfg = TrainConfig.from_dict({**cfg.to_dict(), **_given_fields(args, TrainConfig)})
     validate_config(cfg)
     return cfg
 
@@ -180,16 +185,7 @@ def _evaluate_sets(query, gallery, model=None, junk_filter=True):
 
 
 def cmd_gen_data(args) -> int:
-    spec = SynthSpec(
-        num_identities=args.num_identities,
-        instances_per_identity=args.instances_per_identity,
-        dims=args.dims,
-        num_cameras=args.num_cameras,
-        sigma_within=args.sigma_within,
-        sigma_cam=args.sigma_cam,
-        min_angle_deg=args.min_angle_deg,
-        seed=args.seed,
-    )
+    spec = SynthSpec(**_given_fields(args, SynthSpec))
     spec.validate()
     out_dir = Path(args.out_dir)
     paths = {name: out_dir / f"{name}.feat" for name in ("train", "query", "gallery")}
@@ -204,21 +200,17 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    # clustering forms no batches, so the batch size is not checked here
+    cfg = TrainConfig(num_identities_per_batch=1, **_given_fields(args, TrainConfig))
     out_dir = Path(args.out_dir)
     labels_path = out_dir / "labels.csv"
-    params = {
-        "kreciprocal_k": args.kreciprocal_k,
-        "dbscan_eps": args.dbscan_eps,
-        "dbscan_min_pts": args.dbscan_min_pts,
-    }
+    params = {name: getattr(cfg, name) for name in CLUSTER_FIELDS}
     write_manifest(out_dir, "cluster", params, None,
                    inputs={"features": args.features}, outputs=[labels_path])
     features = load_features(args.features).features
-    # clustering forms no batches, so the batch size is not checked here
-    validate_config(TrainConfig(**params, num_identities_per_batch=1),
-                    num_samples=features.shape[0])
-    emb = l2_normalize(features)
-    labels = pseudo_label(emb, args.kreciprocal_k, args.dbscan_eps, args.dbscan_min_pts)
+    validate_config(cfg, num_samples=features.shape[0])
+    labels = pseudo_label(l2_normalize(features), cfg.kreciprocal_k, cfg.dbscan_eps,
+                          cfg.dbscan_min_pts)
     _write_csv(labels_path, ["sample_index", "cluster_id"],
                ([i, int(c)] for i, c in enumerate(labels.assignment)))
     print(f"clusters={labels.num_clusters} outliers={labels.num_outliers} "
@@ -286,25 +278,24 @@ def cmd_evaluate(args) -> int:
 
 
 def _ablate_run(payload):
-    """One (mu, seed) cell; module-level so process pools can pickle it."""
-    (features_path, query_path, gallery_path, cfg_dict, mu, seed,
-     deterministic) = payload
+    """One (mu, seed) cell's metrics; module-level so process pools can
+    pickle it."""
+    features_path, query_path, gallery_path, cfg, deterministic = payload
     if deterministic:
         _limit_blas_threads(1)
-    cfg_dict = dict(cfg_dict, mu=mu, seed=seed)
-    cfg = TrainConfig.from_dict(cfg_dict)
     model, _, reports = train(load_features(features_path).features, cfg)
     _require_trained(reports, cfg)
     result = _evaluate_sets(load_features(query_path),
                             load_features(gallery_path), model=model)
-    return (mu, seed, result.metrics())
+    return result.metrics()
 
 
 def cmd_ablate(args) -> int:
     cfg = _merge_config(args)
-    for mu in args.mu_values:
-        if not 0.0 <= mu <= 1.0:
-            raise ConfigError(f"mu value {mu} outside [0, 1]")
+    cells = [dataclasses.replace(cfg, mu=mu, seed=seed)
+             for mu in args.mu_values for seed in args.seeds]
+    for cell in cells:
+        validate_config(cell)
     pinning = _pin_blas_for_determinism() if args.deterministic else {}
     out_dir = Path(args.out_dir)
     summary_path = out_dir / "summary.csv"
@@ -315,12 +306,8 @@ def cmd_ablate(args) -> int:
                            "gallery": args.gallery},
                    outputs=[summary_path], extra=pinning)
     validate_config(cfg, num_samples=load_features(args.features).ids.size)
-    payloads = [
-        (args.features, args.query, args.gallery, cfg.to_dict(), mu, seed,
-         args.deterministic)
-        for mu in args.mu_values
-        for seed in args.seeds
-    ]
+    payloads = [(args.features, args.query, args.gallery, cell, args.deterministic)
+                for cell in cells]
     workers = max(1, int(os.environ.get("HHCL_THREADS", "1")))
     if workers > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -329,12 +316,12 @@ def cmd_ablate(args) -> int:
         results = [_ablate_run(p) for p in payloads]
     # the columns after mu and seed are metric names
     _write_csv(summary_path, ABLATE_HEADER, (
-        [f"{mu:.10g}", seed, *(f"{metrics[k]:.10g}" for k in ABLATE_HEADER[2:])]
-        for mu, seed, metrics in results
+        [f"{cell.mu:.10g}", cell.seed, *(f"{metrics[k]:.10g}" for k in ABLATE_HEADER[2:])]
+        for cell, metrics in zip(cells, results)
     ))
     for mu in args.mu_values:
-        cells = [m["mAP"] for m2, _, m in results if m2 == mu]
-        print(f"mu={mu:g}: mean mAP={np.mean(cells):.4f} over {len(cells)} seeds")
+        maps = [m["mAP"] for cell, m in zip(cells, results) if cell.mu == mu]
+        print(f"mu={mu:g}: mean mAP={np.mean(maps):.4f} over {len(maps)} seeds")
     return EXIT_OK
 
 
@@ -352,22 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("gen-data", help="generate a synthetic dataset")
     sp.add_argument("--out-dir", required=True)
-    sp.add_argument("--num-identities", type=int, default=50)
-    sp.add_argument("--instances-per-identity", type=int, default=20)
-    sp.add_argument("--dims", type=int, default=32)
-    sp.add_argument("--num-cameras", type=int, default=3)
-    sp.add_argument("--sigma-within", type=float, default=0.02)
-    sp.add_argument("--sigma-cam", type=float, default=0.08)
-    sp.add_argument("--min-angle-deg", type=float, default=45.0)
-    sp.add_argument("--seed", type=int, default=0)
+    _add_field_flags(sp, SynthSpec)
     sp.set_defaults(func=cmd_gen_data)
 
     sp = sub.add_parser("cluster", help="pseudo-label a feature file")
     sp.add_argument("--features", required=True)
     sp.add_argument("--out-dir", required=True)
-    sp.add_argument("--kreciprocal-k", type=int, default=TrainConfig.kreciprocal_k)
-    sp.add_argument("--dbscan-eps", type=float, default=TrainConfig.dbscan_eps)
-    sp.add_argument("--dbscan-min-pts", type=int, default=TrainConfig.dbscan_min_pts)
+    _add_field_flags(sp, TrainConfig, CLUSTER_FIELDS)
     sp.set_defaults(func=cmd_cluster)
 
     sp = sub.add_parser("train", help="train an embedding model")
@@ -377,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gallery", default=None)
     sp.add_argument("--deterministic", action="store_true",
                     help="single BLAS thread and zeroed timing column")
-    _add_config_flags(sp)
+    sp.add_argument("--config", help="JSON file with training config fields")
+    _add_field_flags(sp, TrainConfig)
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("evaluate", help="score query/gallery retrieval")
@@ -400,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu-values", type=float, nargs="+", required=True)
     sp.add_argument("--seeds", type=int, nargs="+", required=True)
     sp.add_argument("--deterministic", action="store_true")
-    _add_config_flags(sp)
+    sp.add_argument("--config", help="JSON file with training config fields")
+    _add_field_flags(sp, TrainConfig)
     sp.set_defaults(func=cmd_ablate)
     return parser
 

@@ -261,9 +261,9 @@ def _is_int(value) -> bool:
 
 
 def _has_field_type(value, kind) -> bool:
-    """Whether ``value`` suits a TrainConfig field whose default has type
+    """Whether ``value`` suits a dataclass field whose default has type
     ``kind``: int fields take non-bool integers, float fields also floats,
-    and the tuple field a list or tuple of integers."""
+    and a tuple field a list or tuple of integers."""
     if kind is tuple:
         return isinstance(value, (tuple, list)) and all(map(_is_int, value))
     if kind is float and isinstance(value, (float, np.floating)):
@@ -272,6 +272,42 @@ def _has_field_type(value, kind) -> bool:
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number", tuple: "a list of integers"}
+
+
+def _check_fields(obj, rules):
+    """Raise ConfigError naming every field of the dataclass ``obj`` whose
+    value does not suit its default's type, or breaks one of ``rules``,
+    each a (field names, predicate, description) triple. A field's rules
+    are checked only once its type is right."""
+    problems = []
+    typed = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if _has_field_type(value, type(f.default)):
+            typed[f.name] = value
+        else:
+            problems.append(f"{f.name} must be {_TYPE_NAMES[type(f.default)]}, got {value!r}")
+    for names, ok, rule in rules:
+        for name in names:
+            if name in typed and not ok(typed[name]):
+                problems.append(f"{name} must be {rule}, got {typed[name]}")
+    if problems:
+        raise ConfigError("; ".join(problems))
+
+
+_CONFIG_RULES = (
+    (("mu", "alpha"), lambda v: 0 <= v <= 1, "in [0, 1]"),
+    (("tau_c", "tau_ins", "lr"), lambda v: 0 < v < np.inf, "> 0"),
+    (("num_identities_per_batch", "instances_per_identity", "slots_per_cluster",
+      "epochs", "lr_decay_every", "dbscan_min_pts", "kreciprocal_k"),
+     lambda v: v >= 1, ">= 1"),
+    # Jaccard distances are at most 1, and pairs at distance 1 are not stored.
+    (("dbscan_eps",), lambda v: 0 < v < 1, "in (0, 1)"),
+    (("weight_decay",), lambda v: 0 <= v < np.inf, ">= 0"),
+    (("lr_decay_factor",), lambda v: 0 < v <= 1, "in (0, 1]"),
+    (("seed",), lambda v: v >= 0, ">= 0"),
+    (("hidden_dims",), lambda v: len(v) > 0 and min(v) >= 1, "positive integers"),
+)
 
 
 def _max_clusters(num_samples: int, min_pts: int) -> int:
@@ -295,42 +331,19 @@ def validate_config(cfg: TrainConfig, num_samples: int = None):
     """Raise ConfigError naming every violated field; given ``num_samples``
     and otherwise valid fields, also require ``kreciprocal_k`` below it and
     no more identities per batch than clusters DBSCAN can form, so that a
-    config that could never train fails before any compute. A field's range
-    is checked only once its type is right."""
+    config that could never train fails before any compute."""
+    _check_fields(cfg, _CONFIG_RULES)
+    if num_samples is None:
+        return
     problems = []
-    typed = {}
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if _has_field_type(value, type(f.default)):
-            typed[f.name] = value
-        else:
-            problems.append(f"{f.name} must be {_TYPE_NAMES[type(f.default)]}, got {value!r}")
-
-    def require(names, ok, rule):
-        for name in names:
-            if name in typed and not ok(typed[name]):
-                problems.append(f"{name} must be {rule}, got {typed[name]}")
-
-    require(("mu", "alpha"), lambda v: 0 <= v <= 1, "in [0, 1]")
-    require(("tau_c", "tau_ins", "lr"), lambda v: 0 < v < np.inf, "> 0")
-    require(("num_identities_per_batch", "instances_per_identity", "slots_per_cluster",
-             "epochs", "lr_decay_every", "dbscan_min_pts", "kreciprocal_k"),
-            lambda v: v >= 1, ">= 1")
-    # Jaccard distances are at most 1, and pairs at distance 1 are not stored.
-    require(("dbscan_eps",), lambda v: 0 < v < 1, "in (0, 1)")
-    require(("weight_decay",), lambda v: 0 <= v < np.inf, ">= 0")
-    require(("lr_decay_factor",), lambda v: 0 < v <= 1, "in (0, 1]")
-    require(("seed",), lambda v: v >= 0, ">= 0")
-    require(("hidden_dims",), lambda v: len(v) > 0 and min(v) >= 1, "positive integers")
-    if not problems and num_samples is not None:
-        if cfg.kreciprocal_k >= num_samples:
-            problems.append(f"kreciprocal_k must be < {num_samples} samples, "
-                            f"got {cfg.kreciprocal_k}")
-        most = _max_clusters(num_samples, cfg.dbscan_min_pts)
-        if cfg.num_identities_per_batch > most:
-            problems.append(
-                f"num_identities_per_batch must be <= {most}, the most clusters "
-                f"{num_samples} samples form at dbscan_min_pts={cfg.dbscan_min_pts}, "
-                f"got {cfg.num_identities_per_batch}")
+    if cfg.kreciprocal_k >= num_samples:
+        problems.append(f"kreciprocal_k must be < {num_samples} samples, "
+                        f"got {cfg.kreciprocal_k}")
+    most = _max_clusters(num_samples, cfg.dbscan_min_pts)
+    if cfg.num_identities_per_batch > most:
+        problems.append(
+            f"num_identities_per_batch must be <= {most}, the most clusters "
+            f"{num_samples} samples form at dbscan_min_pts={cfg.dbscan_min_pts}, "
+            f"got {cfg.num_identities_per_batch}")
     if problems:
         raise ConfigError("; ".join(problems))

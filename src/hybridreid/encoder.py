@@ -4,17 +4,22 @@ and a step learning-rate schedule."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FileFormatError, FileIOError, _atomic_open
+from .core import FileFormatError, FileIOError, TrainConfig, _atomic_open
 
 CHECKPOINT_MAGIC = b"HHCK"
 CHECKPOINT_VERSION = 1
 
 # Added inside the square root of the output normalization.
 NORM_EPS = 1e-12
+
+# Adam's fixed decay rates of the first and second moments, and the guard
+# added to the denominator; checkpoints do not store them.
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 class MLPEncoder:
@@ -106,19 +111,17 @@ class AdamState:
 
     m: list
     v: list
+    base_lr: float
+    weight_decay: float
+    decay_factor: float
+    decay_every: int
     step_count: int = 0
-    base_lr: float = 3.5e-4
-    weight_decay: float = 5e-4
-    decay_factor: float = 0.1
-    decay_every: int = 20
     epoch: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_model(cls, model: MLPEncoder, base_lr, weight_decay,
-                  decay_factor=0.1, decay_every=20) -> "AdamState":
+                  decay_factor=TrainConfig.lr_decay_factor,
+                  decay_every=TrainConfig.lr_decay_every) -> "AdamState":
         params = model.parameters()
         return cls(
             m=[np.zeros_like(p) for p in params],
@@ -141,16 +144,17 @@ def adam_step(model: MLPEncoder, grads, state: AdamState):
     lr = state.effective_lr()
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    b1, b2 = ADAM_BETAS
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if state.weight_decay != 0.0:
             p -= lr * state.weight_decay * p
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def save_checkpoint(path, model: MLPEncoder, state: AdamState, epoch: int):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, FeatureSet, l2_normalize
+from .core import ConfigError, FeatureSet, _check_fields, l2_normalize
 
 QUERY_CAMERAS = 2  # queries drawn from this many cameras per identity
 GALLERY_PER_CAMERA = 2
@@ -32,22 +32,17 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self):
-        problems = []
-        for name in ("num_identities", "instances_per_identity", "dims"):
-            if getattr(self, name) < 1:
-                problems.append(f"{name} must be >= 1")
-        if self.num_cameras < 2:
-            problems.append(
-                "num_cameras must be >= 2 so each identity spans several "
-                "cameras in the query/gallery split"
-            )
-        for name in ("sigma_within", "sigma_cam"):
-            if getattr(self, name) < 0:
-                problems.append(f"{name} must be >= 0")
-        if not 0.0 <= self.min_angle_deg < 180.0:
-            problems.append("min_angle_deg must be in [0, 180)")
-        if problems:
-            raise ConfigError("; ".join(problems))
+        _check_fields(self, _SPEC_RULES)
+
+
+_SPEC_RULES = (
+    (("num_identities", "instances_per_identity", "dims"), lambda v: v >= 1, ">= 1"),
+    (("num_cameras",), lambda v: v >= 2,
+     ">= 2 so each identity spans several cameras in the query/gallery split"),
+    (("sigma_within", "sigma_cam"), lambda v: 0 <= v < np.inf, "finite and >= 0"),
+    (("min_angle_deg",), lambda v: 0 <= v < 180, "in [0, 180)"),
+    (("seed",), lambda v: v >= 0, ">= 0"),
+)
 
 
 def _sample_prototypes(spec: SynthSpec, rng) -> np.ndarray:

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from hybridreid import TrainConfig, l2_normalize, load_checkpoint, load_features, pseudo_label
+from hybridreid import SynthSpec, l2_normalize, load_checkpoint, load_features, pseudo_label
 from hybridreid import cli
 from hybridreid.cli import _write_metrics_csv, main
 from hybridreid.trainer import EpochReport
@@ -48,11 +48,24 @@ class TestGenData:
             "gallery.feat", "query.feat", "train.feat",
         ]
 
-    def test_invalid_spec_exits_2(self, tmp_path, capsys):
-        rc = main(["gen-data", "--out-dir", str(tmp_path / "x"),
-                   "--num-cameras", "1"])
+    def test_defaults_come_from_synth_spec(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["gen-data", "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == dataclasses.asdict(SynthSpec())
+
+    @pytest.mark.parametrize("flags", [
+        ["--num-cameras", "1"], ["--sigma-within", "nan"], ["--sigma-cam", "inf"],
+        ["--seed", "-1"],
+    ], ids=["num_cameras", "sigma_within", "sigma_cam", "seed"])
+    def test_invalid_spec_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        rc = main(["gen-data", "--out-dir", str(out), *flags])
         assert rc == 2
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
 
 
 class TestCluster:
@@ -437,16 +450,25 @@ class TestExitCodes:
         assert (out / "checkpoint.ckpt").exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("grid", [
+        ["--mu-values", "0.5", "2.0", "--seeds", "0"],
+        ["--mu-values", "0.5", "--seeds", "0", "-1"],
+    ], ids=["mu", "seed"])
     def test_ablate_mu_out_of_range_exits_2(self, dataset_dir, tmp_path,
-                                            capsys):
+                                            capsys, monkeypatch, grid):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell started training")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        out = tmp_path / "o"
         rc = main([
             "ablate", "--features", str(dataset_dir / "train.feat"),
             "--query", str(dataset_dir / "query.feat"),
             "--gallery", str(dataset_dir / "gallery.feat"),
-            "--out-dir", str(tmp_path / "o"),
-            "--mu-values", "0.5", "2.0", "--seeds", "0",
+            "--out-dir", str(out), *grid,
         ])
         assert rc == 2
+        assert not out.exists()
         capsys.readouterr()
 
     def test_batch_beyond_cluster_bound_exits_2_before_training(

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 
@@ -190,14 +191,13 @@ class TestCheckpoint:
         assert model2.widths == model.widths
         for a, b in zip(model.parameters(), model2.parameters()):
             assert a.tobytes() == b.tobytes()
-        assert state2.step_count == 3
-        assert state2.base_lr == 2e-3
-        assert state2.weight_decay == 1e-4
-        assert state2.decay_factor == 0.5
-        assert state2.decay_every == 7
-        assert state2.epoch == 11
-        for a, b in zip(state.m + state.v, state2.m + state2.v):
-            assert a.tobytes() == b.tobytes()
+        # every field, so none can be added without the checkpoint storing it
+        for f in dataclasses.fields(AdamState):
+            want, got = getattr(state, f.name), getattr(state2, f.name)
+            if isinstance(want, list):
+                assert [a.tobytes() for a in want] == [b.tobytes() for b in got]
+            else:
+                assert got == want and f.default != want, f.name
 
     def test_save_is_deterministic(self, tmp_path):
         model = MLPEncoder([3, 2], seed=0)

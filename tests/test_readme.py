@@ -1,8 +1,12 @@
-"""The README's Python API example, executed as written."""
+"""The README's examples: the Python API one executed as written, and the
+Quick start commands parsed by the CLI."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
+
+from hybridreid import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -13,3 +17,16 @@ def test_python_api_example_runs(capsys):
     exec(compile(blocks[0], str(README), "exec"), {})
     metrics = ast.literal_eval(capsys.readouterr().out)
     assert set(metrics) == {"mAP", "rank1", "rank5", "rank10"}
+
+
+def test_quick_start_commands_parse():
+    section = README.read_text().split("## Quick start", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.strip() and not line.startswith("#")]
+    assert len(commands) == 5
+    parser = cli.build_parser()
+    for line in commands:
+        argv = shlex.split(line)
+        assert argv[0] == "hybridreid"
+        assert parser.parse_args(argv[1:]).command == argv[1]

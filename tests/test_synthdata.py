@@ -142,6 +142,10 @@ class TestValidation:
             dict(sigma_cam=-0.1),
             dict(min_angle_deg=-5.0),
             dict(min_angle_deg=180.0),
+            dict(sigma_within=float("nan")),
+            dict(sigma_cam=float("inf")),
+            dict(seed=-1),
+            dict(dims=2.5),
         ],
     )
     def test_bad_fields_rejected(self, kw):
