@@ -27,7 +27,10 @@ from .core import (
     FileIOError,
     NumericError,
     TrainConfig,
+    _CONFIG_RULES,
     _atomic_open,
+    _check_fields,
+    _labeling_rule,
     l2_normalize,
     load_features,
     save_features,
@@ -200,15 +203,15 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    # clustering forms no batches, so the batch size is not checked here
-    cfg = TrainConfig(num_identities_per_batch=1, **_given_fields(args, TrainConfig))
+    cfg = TrainConfig(**_given_fields(args, TrainConfig))
     out_dir = Path(args.out_dir)
     labels_path = out_dir / "labels.csv"
     params = {name: getattr(cfg, name) for name in CLUSTER_FIELDS}
     write_manifest(out_dir, "cluster", params, None,
                    inputs={"features": args.features}, outputs=[labels_path])
     features = load_features(args.features).features
-    validate_config(cfg, num_samples=features.shape[0])
+    # clustering forms no batches, so only labeling's bound applies
+    _check_fields(cfg, _CONFIG_RULES + (_labeling_rule(features.shape[0]),))
     labels = pseudo_label(l2_normalize(features), cfg.kreciprocal_k, cfg.dbscan_eps,
                           cfg.dbscan_min_pts)
     _write_csv(labels_path, ["sample_index", "cluster_id"],
@@ -219,6 +222,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if (args.query is None) != (args.gallery is None):
+        raise ConfigError("--query and --gallery must be given together")
     cfg = _merge_config(args)
     pinning = _pin_blas_for_determinism() if args.deterministic else {}
     out_dir = Path(args.out_dir)
@@ -226,7 +231,7 @@ def cmd_train(args) -> int:
     metrics_path = out_dir / "metrics.csv"
     inputs = {"features": args.features}
     outputs = [ckpt_path, metrics_path]
-    if args.query and args.gallery:
+    if args.query is not None:
         inputs["query"] = args.query
         inputs["gallery"] = args.gallery
         outputs.append(out_dir / "eval.json")
@@ -238,7 +243,7 @@ def cmd_train(args) -> int:
     last = reports[-1]
     print(f"trained {cfg.epochs} epochs: C={last.num_clusters} "
           f"outliers={last.num_outliers} loss={last.loss:.4f}")
-    if args.query and args.gallery:
+    if args.query is not None:
         result = _evaluate_sets(load_features(args.query),
                                 load_features(args.gallery), model=model)
         metrics = result.metrics()

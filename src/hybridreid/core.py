@@ -142,64 +142,86 @@ def l2_normalize(x, eps=1e-12):
     return x / np.sqrt(sq + eps)
 
 
+# The header both binary formats open with (little-endian, 20 bytes): a
+# format's magic and version, then a u64 count and a u32 width whose
+# meaning each format gives.
+_HEADER = np.dtype([("magic", "S4"), ("version", "<u4"), ("count", "<u8"), ("width", "<u4")])
+
+
+def _write_binary(path, magic, version, count, width, *arrays):
+    """Atomically write the header and then each array's bytes,
+    little-endian and in C order."""
+    with _atomic_open(path, "wb") as fh:
+        fh.write(np.array((magic, version, count, width), dtype=_HEADER))
+        for a in map(np.asarray, arrays):
+            fh.write(np.ascontiguousarray(a, a.dtype.newbyteorder("<")))
+
+
+def _check_size(path, blob, start, size, exact=True):
+    """Raise FileIOError unless ``blob`` holds ``size`` bytes from offset
+    ``start`` on and, if ``exact``, nothing after them."""
+    have = len(blob) - start
+    if have < size:
+        raise FileIOError(f"{path}: truncated: {have} bytes at offset {start}, need {size}")
+    if exact and have > size:
+        raise FileIOError(f"{path}: {have - size} trailing bytes")
+
+
+def _read_binary(path, magic, version):
+    """Read a whole binary file and check its header; returns (count,
+    width, the file's bytes)."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    _check_size(path, blob, 0, _HEADER.itemsize, exact=False)
+    # compared raw: the S4 field would strip trailing NULs
+    if blob[:4] != magic:
+        raise FileFormatError(f"{path}: bad magic {blob[:4]!r}")
+    header = np.frombuffer(blob, _HEADER, count=1)[0]
+    if header["version"] != version:
+        raise FileFormatError(f"{path}: unsupported version {header['version']}")
+    return int(header["count"]), int(header["width"]), blob
+
+
 def _record_dtype(dims: int) -> np.dtype:
-    return np.dtype(
-        [("feature", "<f4", (dims,)), ("identity", "<i8"), ("camera", "<u4")]
-    )
+    return np.dtype([("feature", "<f4", (dims,)), ("identity", "<i8"), ("camera", "<u4")])
 
 
 def save_features(fs: FeatureSet, path):
     """Write a FeatureSet in the binary feature-file format.
 
-    Layout (little-endian): magic ``HHCL``, u32 version, u64 N, u32 D_in,
-    then N records of ``D_in x f32 | i64 identity | u32 camera``.
+    Layout (little-endian): the shared header with magic ``HHCL``, u32
+    version, u64 N and u32 D_in, then N records of
+    ``D_in x f32 | i64 identity | u32 camera``.
     """
     n, dims = fs.features.shape
     bad = np.flatnonzero(~np.isfinite(fs.features).all(axis=1))
     if bad.size:
         raise NumericError(f"sample {bad[0]} has non-finite feature entries")
-    bad = np.flatnonzero(fs.cams < 0)
+    with np.errstate(invalid="ignore"):
+        cams = fs.cams.astype("<u4")
+    bad = np.flatnonzero(cams != fs.cams)
     if bad.size:
-        raise ValueError(f"sample {bad[0]} has negative camera id {fs.cams[bad[0]]}")
+        raise ValueError(f"sample {bad[0]} has camera id {fs.cams[bad[0]]}, not a u32")
     records = np.empty(n, dtype=_record_dtype(dims))
     records["feature"] = fs.features
     records["identity"] = fs.ids
-    records["camera"] = fs.cams
-    header = (
-        FEATURE_MAGIC
-        + np.uint32(FEATURE_VERSION).tobytes()
-        + np.uint64(n).tobytes()
-        + np.uint32(dims).tobytes()
-    )
-    with _atomic_open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(records.tobytes())
+    records["camera"] = cams
+    _write_binary(path, FEATURE_MAGIC, FEATURE_VERSION, n, dims, records)
 
 
 def load_features(path) -> FeatureSet:
     """Read a binary feature file as a FeatureSet of read-only views into
     the file's bytes."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 20:
-        raise FileIOError(f"{path}: file shorter than the 20-byte header")
-    if blob[:4] != FEATURE_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {blob[:4]!r}")
-    version = int(np.frombuffer(blob, dtype="<u4", count=1, offset=4)[0])
-    if version != FEATURE_VERSION:
-        raise FileFormatError(f"{path}: unsupported version {version}")
-    n = int(np.frombuffer(blob, dtype="<u8", count=1, offset=8)[0])
-    dims = int(np.frombuffer(blob, dtype="<u4", count=1, offset=16)[0])
+    n, dims, blob = _read_binary(path, FEATURE_MAGIC, FEATURE_VERSION)
     if n > 0 and dims == 0:
         raise FileFormatError(f"{path}: N={n} records with D_in=0")
-    rec = _record_dtype(dims)
-    payload = len(blob) - 20
-    expected = n * rec.itemsize
-    if payload < expected:
-        raise FileIOError(f"{path}: payload has {payload} bytes, expected {expected}")
-    if payload > expected:
-        raise FileIOError(f"{path}: {payload - expected} trailing bytes after N={n}")
-    records = np.frombuffer(blob, dtype=rec, count=n, offset=20)
+    # the record's itemsize, checked before numpy is asked to describe it
+    _check_size(path, blob, _HEADER.itemsize, n * (4 * dims + 12))
+    try:
+        rec = _record_dtype(dims)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: D_in={dims} records are too wide to read") from exc
+    records = np.frombuffer(blob, dtype=rec, count=n, offset=_HEADER.itemsize)
     if not np.all(np.isfinite(records["feature"])):
         raise NumericError(f"{path}: non-finite feature entries")
     return FeatureSet(records["feature"], records["identity"], records["camera"])
@@ -327,6 +349,11 @@ def _max_clusters(num_samples: int, min_pts: int) -> int:
     return num_samples * r // (min_pts + r)
 
 
+def _labeling_rule(num_samples: int):
+    """Labeling's one bound: k-reciprocal sets need more than k samples."""
+    return ("kreciprocal_k",), lambda k: k < num_samples, f"< {num_samples} samples"
+
+
 def validate_config(cfg: TrainConfig, num_samples: int = None):
     """Raise ConfigError naming every violated field; given ``num_samples``
     and otherwise valid fields, also require ``kreciprocal_k`` below it and
@@ -335,15 +362,8 @@ def validate_config(cfg: TrainConfig, num_samples: int = None):
     _check_fields(cfg, _CONFIG_RULES)
     if num_samples is None:
         return
-    problems = []
-    if cfg.kreciprocal_k >= num_samples:
-        problems.append(f"kreciprocal_k must be < {num_samples} samples, "
-                        f"got {cfg.kreciprocal_k}")
     most = _max_clusters(num_samples, cfg.dbscan_min_pts)
-    if cfg.num_identities_per_batch > most:
-        problems.append(
-            f"num_identities_per_batch must be <= {most}, the most clusters "
-            f"{num_samples} samples form at dbscan_min_pts={cfg.dbscan_min_pts}, "
-            f"got {cfg.num_identities_per_batch}")
-    if problems:
-        raise ConfigError("; ".join(problems))
+    _check_fields(cfg, (_labeling_rule(num_samples), (
+        ("num_identities_per_batch",), lambda v: v <= most,
+        f"<= {most}, the most clusters {num_samples} samples form at "
+        f"dbscan_min_pts={cfg.dbscan_min_pts}")))

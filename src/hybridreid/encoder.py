@@ -4,11 +4,14 @@ and a step learning-rate schedule."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FileFormatError, FileIOError, TrainConfig, _atomic_open
+from .core import (FileFormatError, TrainConfig, _HEADER, _check_size, _read_binary,
+                   _write_binary)
 
 CHECKPOINT_MAGIC = b"HHCK"
 CHECKPOINT_VERSION = 1
@@ -158,82 +161,52 @@ def adam_step(model: MLPEncoder, grads, state: AdamState):
 
 
 def save_checkpoint(path, model: MLPEncoder, state: AdamState, epoch: int):
-    """Binary checkpoint: magic, version, widths, f64 parameters, optimizer
-    state and the epoch counter."""
-    parts = [
-        CHECKPOINT_MAGIC,
-        np.uint32(CHECKPOINT_VERSION).tobytes(),
-        np.uint64(epoch).tobytes(),
-        np.uint32(len(model.widths)).tobytes(),
-        np.asarray(model.widths, dtype="<u4").tobytes(),
-    ]
-    for p in model.parameters():
-        parts.append(np.ascontiguousarray(p, dtype="<f8").tobytes())
-    parts.append(np.uint64(state.step_count).tobytes())
-    parts.append(
-        np.asarray(
-            [state.base_lr, state.weight_decay, state.decay_factor], dtype="<f8"
-        ).tobytes()
+    """Binary checkpoint: the shared header with magic ``HHCK``, u32
+    version, u64 epoch counter and u32 number of layer widths, then the
+    widths, the f64 parameters, the optimizer state and Adam's moments."""
+    _write_binary(
+        path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, epoch, len(model.widths),
+        np.asarray(model.widths, dtype="<u4"),
+        *model.parameters(), np.uint64(state.step_count),
+        np.asarray([state.base_lr, state.weight_decay, state.decay_factor], dtype="<f8"),
+        np.asarray([state.decay_every, state.epoch], dtype="<u4"),
+        *state.m, *state.v,
     )
-    parts.append(np.asarray([state.decay_every, state.epoch], dtype="<u4").tobytes())
-    for acc in (state.m, state.v):
-        for a in acc:
-            parts.append(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    with _atomic_open(path, "wb") as fh:
-        fh.write(b"".join(parts))
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, optimizer state, epoch counter)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    view = memoryview(blob)
-    pos = 0
-
-    def take(n):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise FileIOError(f"{path}: truncated checkpoint")
-        chunk = view[pos : pos + n]
-        pos += n
-        return chunk
-
-    if bytes(take(4)) != CHECKPOINT_MAGIC:
-        raise FileFormatError(f"{path}: bad checkpoint magic")
-    version = int(np.frombuffer(take(4), "<u4")[0])
-    if version != CHECKPOINT_VERSION:
-        raise FileFormatError(f"{path}: unsupported checkpoint version {version}")
-    epoch = int(np.frombuffer(take(8), "<u8")[0])
-    n_widths = int(np.frombuffer(take(4), "<u4")[0])
+    epoch, n_widths, blob = _read_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     if n_widths < 2:
         raise FileFormatError(f"{path}: checkpoint with {n_widths} layer widths")
-    widths = np.frombuffer(take(4 * n_widths), "<u4").astype(int).tolist()
+    pos = _HEADER.itemsize
+    _check_size(path, blob, pos, 4 * n_widths, exact=False)
+    widths = np.frombuffer(blob, "<u4", n_widths, pos).tolist()
     if min(widths) < 1:
         raise FileFormatError(f"{path}: checkpoint layer widths {widths}")
     # the widths fix the size: parameters, 40 bytes of optimizer scalars, then
     # Adam's m and v; checked before the encoder is built, so a corrupt
     # header allocates nothing
-    num_params = sum(a * b + b for a, b in zip(widths[:-1], widths[1:]))
-    size = pos + 3 * 8 * num_params + 40
-    if size > len(blob):
-        raise FileIOError(f"{path}: truncated checkpoint")
-    if size < len(blob):
-        raise FileIOError(f"{path}: {len(blob) - size} trailing bytes")
-
     shapes = [s for a, b in zip(widths[:-1], widths[1:]) for s in ((a, b), (b,))]
+    ends = list(itertools.accumulate(math.prod(s) for s in shapes))
+    num_params = ends[-1]
+    pos += 4 * n_widths
+    _check_size(path, blob, pos, 3 * 8 * num_params + 40)
 
-    def arrays():
-        """Writable float64 copies of the next arrays in ``parameters()`` layout."""
-        return [np.frombuffer(take(8 * int(np.prod(s))), "<f8").astype(np.float64).reshape(s)
-                for s in shapes]
+    def arrays(offset):
+        """Writable float64 copies, in ``parameters()`` layout, of the
+        parameter-sized f8 vector at ``offset``."""
+        flat = np.frombuffer(blob, "<f8", num_params, offset)
+        return [part.reshape(s).astype(np.float64)
+                for part, s in zip(np.split(flat, ends[:-1]), shapes)]
 
-    model = MLPEncoder._from_parameters(arrays())
-    step_count = int(np.frombuffer(take(8), "<u8")[0])
-    base_lr, weight_decay, decay_factor = np.frombuffer(take(24), "<f8")
-    decay_every, sched_epoch = np.frombuffer(take(8), "<u4")
-    state = AdamState(
-        m=arrays(), v=arrays(), step_count=step_count, base_lr=float(base_lr),
-        weight_decay=float(weight_decay), decay_factor=float(decay_factor),
-        decay_every=int(decay_every), epoch=int(sched_epoch),
-    )
-    return model, state, epoch
+    model = MLPEncoder._from_parameters(arrays(pos))
+    pos += 8 * num_params
+    step_count = int(np.frombuffer(blob, "<u8", 1, pos)[0])
+    base_lr, weight_decay, decay_factor = np.frombuffer(blob, "<f8", 3, pos + 8).tolist()
+    decay_every, sched_epoch = np.frombuffer(blob, "<u4", 2, pos + 32).tolist()
+    return model, AdamState(
+        m=arrays(pos + 40), v=arrays(pos + 40 + 8 * num_params), step_count=step_count,
+        base_lr=base_lr, weight_decay=weight_decay, decay_factor=decay_factor,
+        decay_every=decay_every, epoch=sched_epoch,
+    ), epoch

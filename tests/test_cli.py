@@ -110,6 +110,20 @@ class TestCluster:
         assert rc == 2
         assert "kreciprocal_k" in capsys.readouterr().err
 
+    def test_too_few_samples_for_a_cluster_labels_all_outliers(self, tmp_path, capsys):
+        # clustering forms no batches, so no batch-size bound applies: two
+        # samples form no cluster at the default dbscan_min_pts=4
+        data = tmp_path / "tiny"
+        assert main(["gen-data", "--out-dir", str(data), "--num-identities", "1",
+                     "--instances-per-identity", "2"]) == 0
+        out = tmp_path / "cl"
+        rc = main(["cluster", "--features", str(data / "train.feat"),
+                   "--out-dir", str(out), "--kreciprocal-k", "1"])
+        assert rc == 0, capsys.readouterr().err
+        with open(out / "labels.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["sample_index", "cluster_id"],
+                                            ["0", "-1"], ["1", "-1"]]
+
 
 class TestTrain:
     def test_writes_metrics_checkpoint_eval(self, dataset_dir, tmp_path):
@@ -185,6 +199,18 @@ class TestTrain:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["epochs"] == 1  # from file
         assert manifest["config"]["mu"] == 0.75  # flag wins
+
+    @pytest.mark.parametrize("given", ["query", "gallery"])
+    def test_half_an_evaluation_request_exits_2_before_writing(
+            self, dataset_dir, tmp_path, capsys, given):
+        out = tmp_path / "run"
+        rc = main(["train", "--features", str(dataset_dir / "train.feat"),
+                   "--out-dir", str(out), f"--{given}", str(dataset_dir / f"{given}.feat"),
+                   *TRAIN_FLAGS])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "--query and --gallery" in err
+        assert not out.exists()
 
     def test_hidden_dims_flag(self, dataset_dir, tmp_path):
         out = tmp_path / "run3"
@@ -397,6 +423,19 @@ class TestExitCodes:
                    "--out-dir", str(tmp_path / "o")])
         assert rc == 3
         capsys.readouterr()
+
+    def test_feature_width_past_numpy_record_limit_exits_3(self, dataset_dir, tmp_path,
+                                                           capsys):
+        # one record of 2**31 floats: numpy cannot describe it, and the file
+        # is far too short for it
+        bad = tmp_path / "wide.feat"
+        bad.write_bytes(b"HHCL" + np.array([1], "<u4").tobytes()
+                        + np.array([1], "<u8").tobytes()
+                        + np.array([2**31], "<u4").tobytes() + bytes(64))
+        rc = main(["evaluate", "--query", str(bad),
+                   "--gallery", str(dataset_dir / "gallery.feat")])
+        assert rc == 3
+        assert capsys.readouterr().err.count("error:") == 1
 
     def test_clustering_collapse_exits_5(self, dataset_dir, tmp_path, capsys):
         rc = main([

@@ -1,9 +1,10 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,7 +22,7 @@ from hybridreid import (
     save_features,
     validate_config,
 )
-from hybridreid.core import FEATURE_MAGIC, _atomic_open
+from hybridreid.core import FEATURE_MAGIC, FEATURE_VERSION, _atomic_open
 
 from conftest import make_feature_set
 from oracles import ref_members_of
@@ -196,9 +197,12 @@ class TestFeatureFile:
             save_features(fs, tmp_path / "n.feat")
 
     def test_negative_camera_rejected_on_save(self, tmp_path):
-        fs = FeatureSet(np.ones((2, 2)), [0, 1], [0, -1])
-        with pytest.raises(ValueError, match="sample 1"):
-            save_features(fs, tmp_path / "c.feat")
+        # and every other id the u32 column cannot hold exactly
+        for cam in (-1, 2**32 + 1, 2**32, 1.7, np.nan):
+            fs = FeatureSet(np.ones((2, 2)), [0, 1], [0, cam])
+            with pytest.raises(ValueError, match="sample 1"):
+                save_features(fs, tmp_path / "c.feat")
+            assert os.listdir(tmp_path) == []
 
     def test_ragged_features_rejected(self):
         with pytest.raises(ValueError):
@@ -219,6 +223,57 @@ class TestFeatureFile:
         path = tmp_path / "neg.feat"
         save_features(fs, path)
         assert load_features(path).ids.tolist() == [-5]
+
+
+@st.composite
+def corrupt_features(draw):
+    """Feature-file bytes a loader must reject, with the error it must raise.
+    The file holds at most a few small records whatever its header claims,
+    so a case can allocate much only if a header field is trusted before
+    the size check."""
+    kind = draw(st.sampled_from(
+        ["short", "long", "count_past_end", "zero_width", "huge_width", "magic",
+         "version"]))
+    n, dims = draw(st.integers(0, 4)), draw(st.integers(1, 8))
+    magic, version, payload = FEATURE_MAGIC, FEATURE_VERSION, n * (4 * dims + 12)
+    cut, error = None, FileFormatError
+    if kind == "short":
+        cut, error = draw(st.integers(0, 20 + payload - 1)), FileIOError
+    elif kind == "long":
+        payload, error = payload + draw(st.integers(1, 16)), FileIOError
+    elif kind == "count_past_end":
+        n, error = draw(st.integers(n + 1, 2**64 - 1)), FileIOError
+    elif kind == "zero_width":
+        n, dims = draw(st.integers(1, 2**64 - 1)), 0
+    elif kind == "huge_width":
+        # a record of 2**29 or more floats exceeds numpy's 2**31 - 1 byte
+        # dtype limit; only N = 0 with no payload fits such a file's size
+        dims, payload = draw(st.integers(2**29, 2**32 - 1)), draw(st.integers(0, 64))
+        error = FileFormatError if n == payload == 0 else FileIOError
+    elif kind == "magic":
+        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda b: b != magic))
+    else:
+        version = draw(st.integers(0, 2**32 - 1).filter(lambda v: v != version))
+    header = b"".join([magic, np.uint32(version).tobytes(), np.uint64(n).tobytes(),
+                       np.uint32(dims).tobytes()])
+    return (header + bytes(payload))[:cut], error
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=corrupt_features())
+def test_corrupt_feature_file_rejected_before_allocating(tmp_path, case):
+    blob, error = case
+    path = tmp_path / "corrupt.feat"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            load_features(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestTrainConfig:
