@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +314,8 @@ def cmd_ablate(args) -> int:
                 for cell in cells]
     workers = max(1, int(os.environ.get("HHCL_THREADS", "1")))
     if workers > 1 and len(payloads) > 1:
+        # imported here: the process pool's modules cost every other command
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_ablate_run, payloads))
     else:
@@ -409,6 +410,11 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        # a size too large for this machine reads as a bad configuration
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -356,9 +356,11 @@ def _labeling_rule(num_samples: int):
 
 def validate_config(cfg: TrainConfig, num_samples: int = None):
     """Raise ConfigError naming every violated field; given ``num_samples``
-    and otherwise valid fields, also require ``kreciprocal_k`` below it and
-    no more identities per batch than clusters DBSCAN can form, so that a
-    config that could never train fails before any compute."""
+    and otherwise valid fields, also require ``kreciprocal_k`` below it, no
+    more identities per batch than clusters DBSCAN can form and no more
+    instances per identity than samples, so that a config that could never
+    train, or whose batches could not fit in memory, fails before any
+    compute."""
     _check_fields(cfg, _CONFIG_RULES)
     if num_samples is None:
         return
@@ -366,4 +368,6 @@ def validate_config(cfg: TrainConfig, num_samples: int = None):
     _check_fields(cfg, (_labeling_rule(num_samples), (
         ("num_identities_per_batch",), lambda v: v <= most,
         f"<= {most}, the most clusters {num_samples} samples form at "
-        f"dbscan_min_pts={cfg.dbscan_min_pts}")))
+        f"dbscan_min_pts={cfg.dbscan_min_pts}"), (
+        ("instances_per_identity",), lambda v: v <= num_samples,
+        f"<= {num_samples} samples")))

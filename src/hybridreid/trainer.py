@@ -56,6 +56,44 @@ def embed_all(model: MLPEncoder, features) -> np.ndarray:
     return out
 
 
+def _batch_step(model, opt, feats, batch, cluster_bank, instance_bank, cfg):
+    """One Adam step and both bank updates on a batch; returns its mean
+    cluster and instance losses over the drawn rows (0.0 for a loss mu
+    leaves out).
+
+    A sample drawn k times is embedded and scored once, its gradient row
+    weighted by k: every copy has the same loss and gradient, and backward
+    is linear in the embedding gradient, so this is the gradient of the
+    mean over all drawn rows. The distinct rows keep their order of first
+    appearance, so a batch without repeats runs the per-row arithmetic
+    exactly. The banks still take every drawn row, in batch order.
+    """
+    _, first, inverse, counts = np.unique(batch.indices, return_index=True,
+                                          return_inverse=True, return_counts=True)
+    order = np.argsort(first)
+    rows = first[order]
+    drawn = np.argsort(order)[inverse]
+    emb_u, cache = model.forward(feats[batch.indices[rows]])
+    own = batch.cluster_ids[rows]
+    batch_size = batch.indices.size
+    grad_emb = np.zeros_like(emb_u)
+    loss_cls = loss_ins = 0.0
+    if cfg.mu > 0.0:
+        out = cluster_loss(emb_u, cluster_bank, own, cfg.tau_c)
+        loss_cls = float(out.values[drawn].mean())
+        grad_emb += (cfg.mu / batch_size) * out.grad
+    if cfg.mu < 1.0:
+        out = hard_instance_loss(emb_u, instance_bank, own, cfg.tau_ins)
+        loss_ins = float(out.values[drawn].mean())
+        grad_emb += ((1.0 - cfg.mu) / batch_size) * out.grad
+    grad_emb *= counts[order, None]
+    adam_step(model, model.backward(cache, grad_emb), opt)
+    emb_b = emb_u[drawn]
+    update_cluster_bank(cluster_bank, emb_b, batch.cluster_ids)
+    update_instance_bank(instance_bank, emb_b, batch.cluster_ids)
+    return loss_cls, loss_ins
+
+
 def train(features, cfg: TrainConfig, model: MLPEncoder = None):
     """Run the full schedule on an N x D_in feature matrix; returns (model,
     opt, reports). Training sees no identity or camera labels. An epoch
@@ -116,22 +154,10 @@ def train(features, cfg: TrainConfig, model: MLPEncoder = None):
         sum_cls = 0.0
         sum_ins = 0.0
         for batch in batches:
-            emb_b, cache = model.forward(feats[batch.indices])
-            batch_size = batch.indices.size
-            grad_emb = np.zeros_like(emb_b)
-            if cfg.mu > 0.0:
-                out = cluster_loss(emb_b, cluster_bank, batch.cluster_ids, cfg.tau_c)
-                sum_cls += float(out.values.mean())
-                grad_emb += (cfg.mu / batch_size) * out.grad
-            if cfg.mu < 1.0:
-                out = hard_instance_loss(emb_b, instance_bank, batch.cluster_ids,
-                                         cfg.tau_ins)
-                sum_ins += float(out.values.mean())
-                grad_emb += ((1.0 - cfg.mu) / batch_size) * out.grad
-            grads = model.backward(cache, grad_emb)
-            adam_step(model, grads, opt)
-            update_cluster_bank(cluster_bank, emb_b, batch.cluster_ids)
-            update_instance_bank(instance_bank, emb_b, batch.cluster_ids)
+            loss_cls, loss_ins = _batch_step(model, opt, feats, batch, cluster_bank,
+                                             instance_bank, cfg)
+            sum_cls += loss_cls
+            sum_ins += loss_ins
         num_batches = max(len(batches), 1)
         mean_cls = sum_cls / num_batches
         mean_ins = sum_ins / num_batches

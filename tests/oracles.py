@@ -2,11 +2,16 @@
 
 Everything here is written in the most direct way possible (explicit
 loops, python sets, quadratic scans) and shares no code with the library
-so the two can actually disagree.
+so the two can actually disagree. The one exception is ``ref_batch_step``,
+which runs the library's stages on every drawn row of a batch, so that it
+checks how the trainer combines them.
 """
 
 import numpy as np
 from scipy import sparse
+
+from hybridreid import (adam_step, cluster_loss, hard_instance_loss,
+                        update_cluster_bank, update_instance_bank)
 
 
 def rel_err(a, b):
@@ -238,3 +243,26 @@ def ref_evaluate(q_emb, g_emb, q_ids, q_cams, g_ids, g_cams, ks=(1, 5, 10),
     cmc = ref_cmc(relevances, ks)
     kept_aps = [ap for ap in aps if ap is not None]
     return sum(kept_aps) / len(kept_aps), cmc, aps
+
+
+def ref_batch_step(model, opt, feats, batch, cluster_bank, instance_bank, cfg):
+    """One training step computed per drawn row: embed and score all B rows
+    of the batch, copies included, then backward, one Adam step and both
+    bank updates. Returns the mean cluster and instance losses over the B
+    rows (0.0 for a loss mu leaves out)."""
+    emb_b, cache = model.forward(feats[batch.indices])
+    batch_size = batch.indices.size
+    grad_emb = np.zeros_like(emb_b)
+    loss_cls = loss_ins = 0.0
+    if cfg.mu > 0.0:
+        out = cluster_loss(emb_b, cluster_bank, batch.cluster_ids, cfg.tau_c)
+        loss_cls = float(out.values.mean())
+        grad_emb += (cfg.mu / batch_size) * out.grad
+    if cfg.mu < 1.0:
+        out = hard_instance_loss(emb_b, instance_bank, batch.cluster_ids, cfg.tau_ins)
+        loss_ins = float(out.values.mean())
+        grad_emb += ((1.0 - cfg.mu) / batch_size) * out.grad
+    adam_step(model, model.backward(cache, grad_emb), opt)
+    update_cluster_bank(cluster_bank, emb_b, batch.cluster_ids)
+    update_instance_bank(instance_bank, emb_b, batch.cluster_ids)
+    return loss_cls, loss_ins

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -530,6 +531,52 @@ class TestExitCodes:
         assert main(["cluster", "--features", str(dataset_dir / "train.feat"),
                      "--out-dir", str(tmp_path / "c"), "--kreciprocal-k", "5"]) == 0
         capsys.readouterr()
+
+    def test_instances_per_identity_beyond_n_exits_2_before_training(
+            self, dataset_dir, tmp_path, capsys, monkeypatch):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("embedding ran")
+
+        monkeypatch.setattr("hybridreid.trainer.embed_all", no_compute)
+        # the training set holds 32 samples
+        flags = ["--epochs", "1", "--num-identities-per-batch", "2",
+                 "--kreciprocal-k", "7", "--instances-per-identity", "33"]
+        train_out, ablate_out = tmp_path / "t", tmp_path / "a"
+        assert main(["train", "--features", str(dataset_dir / "train.feat"),
+                     "--out-dir", str(train_out), *flags]) == 2
+        assert main(["ablate", "--features", str(dataset_dir / "train.feat"),
+                     "--query", str(dataset_dir / "query.feat"),
+                     "--gallery", str(dataset_dir / "gallery.feat"),
+                     "--out-dir", str(ablate_out), "--mu-values", "0.5",
+                     "--seeds", "0", *flags]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: instances_per_identity must be <= 32 samples, got 33"] * 2
+        assert sorted(p.name for p in train_out.iterdir()) == ["manifest.json"]
+        assert sorted(p.name for p in ablate_out.iterdir()) == ["manifest.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--dims", "1000000000"],
+        ["train", "--hidden-dims", "100000", "100000"],
+        ["train", "--instances-per-identity", "100000000"],
+    ], ids=["gen-data-dims", "train-hidden-dims", "train-instances"])
+    def test_oversized_run_exits_2_without_traceback(self, dataset_dir, tmp_path, argv):
+        # each probe runs in a child whose address space is capped at 1 GiB,
+        # so an allocation it should not attempt fails at once
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "from hybridreid.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        if argv[0] == "train":
+            argv = [*argv, "--features", str(dataset_dir / "train.feat"), "--epochs", "1",
+                    "--num-identities-per-batch", "2", "--kreciprocal-k", "7"]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", child, *argv, "--out-dir",
+                               str(tmp_path / "o")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
 
     def test_failed_metrics_write_keeps_old_file(self, tmp_path):
         path = tmp_path / "metrics.csv"

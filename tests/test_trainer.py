@@ -1,21 +1,33 @@
+import copy
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridreid import (
+    AdamState,
     ClusteringCollapseError,
     ConfigError,
     MLPEncoder,
+    PseudoLabeling,
     SynthSpec,
     TrainConfig,
+    build_epoch_batches,
     evaluate_retrieval,
     generate,
+    init_cluster_bank,
+    init_instance_bank,
     pseudo_label,
     train,
+    validate_config,
 )
 from hybridreid import trainer
+from hybridreid.encoder import ADAM_BETAS, ADAM_EPS
 from hybridreid.trainer import embed_all
+
+from oracles import ref_batch_step
 
 EVENT_ORDER = [
     "cluster_loss",
@@ -181,6 +193,14 @@ class TestEpochSkip:
         for p, b in zip(model.parameters(), before):
             assert np.array_equal(p, b)
 
+    def test_more_instances_per_identity_than_samples_rejected_before_compute(
+            self, step_log):
+        feats = train_features()
+        validate_config(small_config(instances_per_identity=60), num_samples=60)
+        with pytest.raises(ConfigError, match="instances_per_identity must be <= 60"):
+            train(feats, small_config(instances_per_identity=61))
+        assert step_log == []
+
     def test_batch_larger_than_any_labeling_rejected_before_compute(self, step_log):
         # 60 samples form at most 25 clusters at dbscan_min_pts=4
         feats = train_features()
@@ -293,6 +313,121 @@ class TestEndToEnd:
         feats = train_features()
         with pytest.raises(ValueError):
             train(feats[:1], small_config())
+
+
+def epoch_state(sizes, n_id, n_inst, mu=0.5, seed=0):
+    """(feats, batches, cfg, state) for one epoch over clusters of the given
+    sizes, whose members are shuffled among the samples; ``state`` is the
+    (model, opt, cluster bank, instance bank) that batch steps change."""
+    rng = np.random.default_rng(seed)
+    assignment = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    labels = PseudoLabeling(assignment, len(sizes))
+    feats = rng.standard_normal((assignment.size, 6))
+    cfg = TrainConfig(mu=mu, num_identities_per_batch=n_id,
+                      instances_per_identity=n_inst, slots_per_cluster=4, seed=seed)
+    model = MLPEncoder([6, 8, 5], seed=seed)
+    emb = embed_all(model, feats)
+    state = (
+        model,
+        AdamState.for_model(model, cfg.lr, cfg.weight_decay),
+        init_cluster_bank(emb, labels, alpha=cfg.alpha),
+        init_instance_bank(emb, labels, slots=cfg.slots_per_cluster,
+                           rng_seed=[seed, 0, trainer.STREAM_INSTANCE_BANK]),
+    )
+    batches = build_epoch_batches(labels, n_id, n_inst,
+                                  rng_seed=[seed, 0, trainer.STREAM_SAMPLER])
+    return feats, batches, cfg, state
+
+
+def run_epoch(step, feats, batches, cfg, state):
+    """Apply ``step`` to a copy of ``state`` batch by batch; returns the
+    copy's arrays and the per-batch losses."""
+    model, opt, cbank, ibank = copy.deepcopy(state)
+    losses = [step(model, opt, feats, b, cbank, ibank, cfg) for b in batches]
+    arrays = [*model.parameters(), *opt.m, *opt.v, cbank.centroids, ibank.slots,
+              ibank.cursors]
+    return arrays, losses, opt.step_count
+
+
+class TestBatchStep:
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+    def test_batch_without_repeats_is_bit_identical_to_per_row_step(self, mu):
+        feats, batches, cfg, state = epoch_state([8, 9, 10, 12, 5, 6], n_id=2,
+                                                 n_inst=5, mu=mu)
+        assert all(np.unique(b.indices).size == b.indices.size for b in batches)
+        got = run_epoch(trainer._batch_step, feats, batches, cfg, state)
+        want = run_epoch(ref_batch_step, feats, batches, cfg, state)
+        assert got[1:] == want[1:]
+        for a, b in zip(got[0], want[0]):
+            assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 20), min_size=1, max_size=6),
+           n_inst=st.integers(1, 20), mu=st.sampled_from([0.0, 0.5, 1.0]),
+           data=st.data())
+    def test_batch_with_repeats_matches_per_row_step(self, sizes, n_inst, mu, data):
+        """Each step starts from the per-row step's state, so rounding
+        differences do not compound. Embedding fewer rows may round an
+        embedding differently in the last bit; the losses, Adam's moments
+        and both banks stay within 1e-14. Adam's step moves a parameter by
+        up to lr / ADAM_EPS per unit of its gradient when that gradient is
+        far below ADAM_EPS (about 3x that bound overall), so each parameter
+        is compared within 3 lr / ADAM_EPS times its gradient's difference,
+        which is its first moment's difference over 1 - beta1."""
+        n_id = data.draw(st.integers(1, len(sizes)), label="n_id")
+        feats, batches, cfg, state = epoch_state(sizes, n_id, n_inst, mu=mu)
+        sensitivity = 3 * cfg.lr / ADAM_EPS / (1.0 - ADAM_BETAS[0])
+        for batch in batches:
+            got = copy.deepcopy(state)
+            got_losses = trainer._batch_step(got[0], got[1], feats, batch, *got[2:], cfg)
+            want_losses = ref_batch_step(state[0], state[1], feats, batch, *state[2:], cfg)
+            np.testing.assert_allclose(got_losses, want_losses, rtol=0, atol=1e-14)
+            (model, opt, cbank, ibank), (model_r, opt_r, cbank_r, ibank_r) = got, state
+            for a, b in zip([*opt.m, *opt.v, cbank.centroids, ibank.slots],
+                            [*opt_r.m, *opt_r.v, cbank_r.centroids, ibank_r.slots]):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+            assert np.array_equal(ibank.cursors, ibank_r.cursors)
+            assert opt.step_count == opt_r.step_count
+            for p, p_r, m, m_r in zip(model.parameters(), model_r.parameters(),
+                                      opt.m, opt_r.m):
+                assert np.all(np.abs(p - p_r) <= 1e-14 + sensitivity * np.abs(m - m_r))
+
+    def test_each_distinct_sample_is_computed_once(self, monkeypatch):
+        # clusters of about 10 samples, 16 draws each: every batch repeats
+        model = MLPEncoder([12, 16, 8], seed=1)
+        batches = []
+        rows = {"forward": [], "cluster_loss": [], "hard_instance_loss": []}
+        embedding = []
+
+        def record_batches(*args, **kwargs):
+            epoch = build_epoch_batches(*args, **kwargs)
+            batches.extend(epoch)
+            return epoch
+
+        def spy(fn, name):
+            def wrapped(x, *args, **kwargs):
+                if not embedding:
+                    rows[name].append(len(x))
+                return fn(x, *args, **kwargs)
+            return wrapped
+
+        def embed_quietly(*args, **kwargs):
+            embedding.append(True)
+            try:
+                return embed_all(*args, **kwargs)
+            finally:
+                embedding.pop()
+
+        monkeypatch.setattr(trainer, "build_epoch_batches", record_batches)
+        monkeypatch.setattr(trainer, "embed_all", embed_quietly)
+        for name in ("cluster_loss", "hard_instance_loss"):
+            monkeypatch.setattr(trainer, name, spy(getattr(trainer, name), name))
+        monkeypatch.setattr(model, "forward", spy(model.forward, "forward"))
+        train(train_features(), small_config(instances_per_identity=16), model=model)
+        distinct = [np.unique(b.indices).size for b in batches]
+        assert batches and all(d < b.indices.size for d, b in zip(distinct, batches))
+        for name, counts in rows.items():
+            assert counts == distinct, name
 
 
 class TestEmbedAll:
