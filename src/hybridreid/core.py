@@ -39,8 +39,8 @@ class NumericError(HybridReidError):
 
 
 class ClusteringCollapseError(HybridReidError):
-    """Clustering produced no clusters for several consecutive epochs, or
-    never enough clusters for one batch in a whole run."""
+    """The first epoch's labeling formed fewer clusters than a batch needs,
+    so no epoch trained."""
 
 
 class EvaluationError(HybridReidError, ValueError):

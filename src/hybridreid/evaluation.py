@@ -37,10 +37,9 @@ class RetrievalResult:
 
 
 def evaluate_retrieval(
-    query_emb, gallery_emb, q_ids, q_cams, g_ids, g_cams,
-    ks=DEFAULT_RANKS, junk_filter=True,
+    query_emb, gallery_emb, q_ids, q_cams, g_ids, g_cams, junk_filter=True,
 ) -> RetrievalResult:
-    """Score AP and CMC, ``SCREEN_BLOCK`` queries at a time.
+    """Score AP and CMC at DEFAULT_RANKS, SCREEN_BLOCK queries at a time.
 
     The gallery is ranked by ascending Euclidean distance, ties broken by
     lower gallery index. A query's scores depend only on the ranks of its
@@ -153,6 +152,6 @@ def evaluate_retrieval(
     first_hits = first_hits[scored]
     return RetrievalResult(
         average_precisions=aps,
-        cmc={int(k): float(np.mean(first_hits <= k)) for k in ks},
+        cmc={k: float(np.mean(first_hits <= k)) for k in DEFAULT_RANKS},
         map=float(np.nanmean(aps)),
     )

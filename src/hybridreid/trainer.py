@@ -24,7 +24,6 @@ from .sampler import build_epoch_batches
 
 logger = logging.getLogger(__name__)
 
-MAX_EMPTY_EPOCHS = 3
 EMBED_CHUNK = 512
 
 # rng stream ids, combined with (seed, epoch) so streams never collide
@@ -95,9 +94,16 @@ def _batch_step(model, opt, feats, batch, cluster_bank, instance_bank, cfg):
 
 
 def train(features, cfg: TrainConfig, model: MLPEncoder = None):
-    """Run the full schedule on an N x D_in feature matrix; returns (model,
-    opt, reports). Training sees no identity or camera labels. An epoch
-    with fewer clusters than identities per batch runs no batches."""
+    """Run the schedule on an N x D_in feature matrix; returns (model, opt,
+    reports), one report per trained epoch. Training sees no identity or
+    camera labels.
+
+    Training stops at the first epoch that forms fewer clusters than
+    ``cfg.num_identities_per_batch``: it could run no step, so every later
+    epoch would label the same unchanged model the same way. If no epoch
+    has trained, that raises ``ClusteringCollapseError``; otherwise it logs
+    one WARNING.
+    """
     feats = np.ascontiguousarray(features, dtype=np.float64)
     n, d_in = feats.shape
     validate_config(cfg, num_samples=n)
@@ -115,42 +121,42 @@ def train(features, cfg: TrainConfig, model: MLPEncoder = None):
         decay_every=cfg.lr_decay_every,
     )
     reports = []
-    empty_streak = 0
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         emb = embed_all(model, feats)
         labels = pseudo_label(emb, cfg.kreciprocal_k, cfg.dbscan_eps, cfg.dbscan_min_pts)
         num_c = labels.num_clusters
-        empty_streak = empty_streak + 1 if num_c == 0 else 0
-        if empty_streak >= MAX_EMPTY_EPOCHS:
-            raise ClusteringCollapseError(
-                f"no clusters for {empty_streak} consecutive epochs "
-                f"(eps={cfg.dbscan_eps}, min_pts={cfg.dbscan_min_pts}, "
-                f"n={n}); loosen eps/min_pts or lower kreciprocal_k"
-            )
         if num_c < cfg.num_identities_per_batch:
+            if not reports:
+                raise ClusteringCollapseError(
+                    f"no epoch trained: epoch 0 formed {num_c} clusters and "
+                    f"{labels.num_outliers} outliers of n={n} samples, fewer than "
+                    f"num_identities_per_batch={cfg.num_identities_per_batch}; "
+                    f"loosen eps/min_pts or lower num_identities_per_batch"
+                )
             logger.warning(
-                "epoch %d: %d clusters < %d identities per batch, skipping",
+                "epoch %d: %d clusters < %d identities per batch; "
+                "stopping after %d trained epochs",
                 epoch,
                 num_c,
                 cfg.num_identities_per_batch,
+                len(reports),
             )
-            batches = []
-        else:
-            cluster_bank = init_cluster_bank(emb, labels, alpha=cfg.alpha)
-            instance_bank = init_instance_bank(
-                emb,
-                labels,
-                slots=cfg.slots_per_cluster,
-                rng_seed=[cfg.seed, epoch, STREAM_INSTANCE_BANK],
-            )
-            batches = build_epoch_batches(
-                labels,
-                n_id=cfg.num_identities_per_batch,
-                n_inst=cfg.instances_per_identity,
-                rng_seed=[cfg.seed, epoch, STREAM_SAMPLER],
-            )
-            opt.epoch = epoch
+            break
+        cluster_bank = init_cluster_bank(emb, labels, alpha=cfg.alpha)
+        instance_bank = init_instance_bank(
+            emb,
+            labels,
+            slots=cfg.slots_per_cluster,
+            rng_seed=[cfg.seed, epoch, STREAM_INSTANCE_BANK],
+        )
+        batches = build_epoch_batches(
+            labels,
+            n_id=cfg.num_identities_per_batch,
+            n_inst=cfg.instances_per_identity,
+            rng_seed=[cfg.seed, epoch, STREAM_SAMPLER],
+        )
+        opt.epoch = epoch
         sum_cls = 0.0
         sum_ins = 0.0
         for batch in batches:
@@ -158,9 +164,8 @@ def train(features, cfg: TrainConfig, model: MLPEncoder = None):
                                              instance_bank, cfg)
             sum_cls += loss_cls
             sum_ins += loss_ins
-        num_batches = max(len(batches), 1)
-        mean_cls = sum_cls / num_batches
-        mean_ins = sum_ins / num_batches
+        mean_cls = sum_cls / len(batches)
+        mean_ins = sum_ins / len(batches)
         reports.append(
             EpochReport(
                 epoch=epoch,

@@ -4,7 +4,9 @@ Everything here is written in the most direct way possible (explicit
 loops, python sets, quadratic scans) and shares no code with the library
 so the two can actually disagree. The one exception is ``ref_batch_step``,
 which runs the library's stages on every drawn row of a batch, so that it
-checks how the trainer combines them.
+checks how the trainer combines them. ``random_slot_keys`` and
+``easiest_positive_keys`` are not oracles but other key rules, which
+``hard_keys`` must beat in training.
 """
 
 import numpy as np
@@ -182,6 +184,33 @@ def ref_hard_keys(query, slots, own):
         for c in range(len(slots))
     ]
     return picks, np.stack([slots[c][p] for c, p in enumerate(picks)])
+
+
+def _picked(sims, picks):
+    """The B x C similarities of the B x C picked slots in B x C x S sims."""
+    return np.take_along_axis(sims, picks[:, :, None], axis=2)[:, :, 0]
+
+
+def random_slot_keys(seed):
+    """A key rule with ``hard_keys``' signature and return shapes that picks
+    a slot of every cluster uniformly at random, from a Generator seeded
+    with ``seed``."""
+    rng = np.random.default_rng(seed)
+
+    def keys(batch, bank, own_clusters):
+        sims = np.einsum("bd,csd->bcs", batch, bank.slots)
+        picks = rng.integers(0, sims.shape[2], size=sims.shape[:2])
+        return picks, _picked(sims, picks)
+    return keys
+
+
+def easiest_positive_keys(batch, bank, own_clusters):
+    """A key rule with ``hard_keys``' signature and return shapes that picks
+    the most similar slot of every cluster: the hardest negatives, but the
+    easiest positive."""
+    sims = np.einsum("bd,csd->bcs", batch, bank.slots)
+    picks = np.argmax(sims, axis=2)
+    return picks, _picked(sims, picks)
 
 
 def ref_members_of(assignment, cluster):

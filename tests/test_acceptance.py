@@ -9,6 +9,7 @@ runtime budget.
 5. the mu sweep reproduces the hybrid-beats-endpoints ordering
 6. deterministic mode gives byte-identical artifacts
 7. the evaluator implements the single-query junk-filter protocol
+8. hard keys beat a random slot and the easiest positive in training
 """
 
 import csv
@@ -45,8 +46,10 @@ from hybridreid.trainer import embed_all
 
 from oracles import (
     canonical_partition,
+    easiest_positive_keys,
     explicit_csr,
     fd_grad,
+    random_slot_keys,
     ref_dbscan,
     ref_evaluate,
     ref_hard_negative,
@@ -294,25 +297,27 @@ def test_criterion_4_end_to_end_learning(capsys):
     )
 
 
-def test_criterion_5_mu_trend_via_ablate(capsys, tmp_path):
-    t0 = time.perf_counter()
+def write_mu_sweep_set(out_dir):
+    """Write criterion 5's harder set as train/query/gallery .feat files."""
     spec = SynthSpec(
         num_identities=30, instances_per_identity=16, dims=16,
         num_cameras=3, sigma_within=0.08, sigma_cam=0.18,
         min_angle_deg=30.0, seed=77,
     )
-    train_s, query_s, gallery_s = generate(spec)
-    save_features(train_s, tmp_path / "train.feat")
-    save_features(query_s, tmp_path / "query.feat")
-    save_features(gallery_s, tmp_path / "gallery.feat")
-    out = tmp_path / "ablate"
+    for name, fs in zip(("train", "query", "gallery"), generate(spec)):
+        save_features(fs, out_dir / f"{name}.feat")
+
+
+def mu_sweep(data_dir, out, mu_values):
+    """The summary rows of ``ablate`` over seeds 0-4 on the set in
+    ``data_dir``, with criterion 5's training flags."""
     rc = main([
         "ablate",
-        "--features", str(tmp_path / "train.feat"),
-        "--query", str(tmp_path / "query.feat"),
-        "--gallery", str(tmp_path / "gallery.feat"),
+        "--features", str(data_dir / "train.feat"),
+        "--query", str(data_dir / "query.feat"),
+        "--gallery", str(data_dir / "gallery.feat"),
         "--out-dir", str(out),
-        "--mu-values", "0", "0.5", "1",
+        "--mu-values", *mu_values,
         "--seeds", "0", "1", "2", "3", "4",
         "--epochs", "20",
         "--num-identities-per-batch", "8",
@@ -323,7 +328,13 @@ def test_criterion_5_mu_trend_via_ablate(capsys, tmp_path):
     ])
     assert rc == 0
     with open(out / "summary.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        return list(csv.DictReader(fh))
+
+
+def test_criterion_5_mu_trend_via_ablate(capsys, tmp_path):
+    t0 = time.perf_counter()
+    write_mu_sweep_set(tmp_path)
+    rows = mu_sweep(tmp_path, tmp_path / "ablate", ["0", "0.5", "1"])
     by_mu = {}
     for row in rows:
         by_mu.setdefault(float(row["mu"]), []).append(float(row["mAP"]))
@@ -418,4 +429,31 @@ def test_criterion_7_protocol_conformance(capsys):
         not problems and elapsed < 5.0,
         f"protocol unit cases clean ({elapsed:.2f}s < 5s)"
         + ("" if not problems else "; " + "; ".join(problems)),
+    )
+
+
+def test_criterion_8_hard_keys_beat_other_key_rules(capsys, tmp_path, monkeypatch):
+    """The paper's reason for its gain: the least similar positive and the
+    most similar negatives carry the signal. Swapping the rule behind
+    hard_instance_loss for another must not raise criterion 5's mu=0.5 mAP."""
+    t0 = time.perf_counter()
+    write_mu_sweep_set(tmp_path)
+    monkeypatch.delenv("HHCL_THREADS", raising=False)  # keep cells in-process
+    rules = {"hard": hard_keys, "random slot": random_slot_keys(0),
+             "easiest positive": easiest_positive_keys}
+    means = {}
+    for name, rule in rules.items():
+        monkeypatch.setattr("hybridreid.loss.hard_keys", rule)
+        rows = mu_sweep(tmp_path, tmp_path / name.replace(" ", "_"), ["0.5"])
+        assert len(rows) == 5
+        means[name] = float(np.mean([float(row["mAP"]) for row in rows]))
+    elapsed = time.perf_counter() - t0
+    margins = {name: means["hard"] - m for name, m in means.items() if name != "hard"}
+    check(
+        capsys, 8,
+        all(m >= 0.0 for m in margins.values()) and elapsed < 900.0,
+        f"mean mAP at mu=0.5 over 5 seeds: hard keys {means['hard']:.4f}; "
+        + ", ".join(f"{name} {means[name]:.4f} (margin {m:+.4f})"
+                    for name, m in margins.items())
+        + f" ({elapsed:.1f}s < 900s)",
     )

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -439,15 +440,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.count("error:") == 1
 
     def test_clustering_collapse_exits_5(self, dataset_dir, tmp_path, capsys):
+        out = tmp_path / "o"
         rc = main([
             "train", "--features", str(dataset_dir / "train.feat"),
-            "--out-dir", str(tmp_path / "o"),
+            "--out-dir", str(out),
             "--epochs", "5", "--dbscan-eps", "1e-6",
             "--dbscan-min-pts", "30", "--kreciprocal-k", "5",
             "--num-identities-per-batch", "2",
         ])
         assert rc == 5
-        capsys.readouterr()
+        assert capsys.readouterr().err.count("error:") == 1
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
     def test_no_trained_epoch_exits_5_without_checkpoint(self, dataset_dir, tmp_path,
                                                          capsys):
@@ -458,13 +461,11 @@ class TestExitCodes:
                  "--num-identities-per-batch", "10"]
         assert main(["train", "--features", str(dataset_dir / "train.feat"),
                      "--out-dir", str(train_out), *flags]) == 5
-        err = capsys.readouterr().err
-        assert "no epoch trained" in err and "num_identities_per_batch=10" in err
-        assert sorted(p.name for p in train_out.iterdir()) == ["manifest.json",
-                                                               "metrics.csv"]
-        with open(train_out / "metrics.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2 and all(int(r["C"]) < 10 for r in rows)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no epoch trained")
+        assert "num_identities_per_batch=10" in err[0]
+        assert int(re.search(r"epoch 0 formed (\d+) clusters", err[0]).group(1)) < 10
+        assert sorted(p.name for p in train_out.iterdir()) == ["manifest.json"]
         assert main(["ablate", "--features", str(dataset_dir / "train.feat"),
                      "--query", str(dataset_dir / "query.feat"),
                      "--gallery", str(dataset_dir / "gallery.feat"),
@@ -473,22 +474,24 @@ class TestExitCodes:
         assert sorted(p.name for p in ablate_out.iterdir()) == ["manifest.json"]
         capsys.readouterr()
 
-    def test_one_trained_epoch_exits_0(self, dataset_dir, tmp_path, capsys,
-                                       monkeypatch):
-        # every epoch but the last reports too few clusters for a batch
-        train = cli.train
-
-        def train_then_skip_early(features, cfg):
-            model, opt, reports = train(features, cfg)
-            early = [dataclasses.replace(r, num_clusters=0) for r in reports[:-1]]
-            return model, opt, early + reports[-1:]
-
-        monkeypatch.setattr(cli, "train", train_then_skip_early)
-        out = tmp_path / "o"
-        assert main(["train", "--features", str(dataset_dir / "train.feat"),
-                     "--out-dir", str(out), *TRAIN_FLAGS]) == 0
-        assert (out / "checkpoint.ckpt").exists()
-        capsys.readouterr()
+    def test_one_trained_epoch_exits_0(self, tmp_path, capsys):
+        # epoch 0 forms 22 clusters and trains; the trained model forms 21,
+        # too few for a batch, so training stops there
+        data, out = tmp_path / "d", tmp_path / "o"
+        assert main(["gen-data", "--out-dir", str(data), "--num-identities", "20",
+                     "--instances-per-identity", "10", "--dims", "16", "--seed", "2",
+                     "--sigma-cam", "0.15"]) == 0
+        assert main(["train", "--features", str(data / "train.feat"),
+                     "--out-dir", str(out), "--epochs", "10",
+                     "--num-identities-per-batch", "22", "--instances-per-identity", "4",
+                     "--slots-per-cluster", "4", "--kreciprocal-k", "6", "--seed", "2",
+                     "--lr", "0.003", "--deterministic"]) == 0
+        assert "trained 1 epochs: C=22 " in capsys.readouterr().out
+        with open(out / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["epoch"], r["C"]) for r in rows] == [("0", "22")]
+        _, _, epoch = load_checkpoint(out / "checkpoint.ckpt")
+        assert epoch == 1
 
     @pytest.mark.parametrize("grid", [
         ["--mu-values", "0.5", "2.0", "--seeds", "0"],

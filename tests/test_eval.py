@@ -167,11 +167,11 @@ class TestJunkFiltering:
 
 class TestCmc:
     def test_first_hit_rank(self):
+        # the only match ranks 6th: a miss at ranks 1 and 5, a hit at 10
         q = embed_on_line([0.0])
-        g = embed_on_line([0.1, 0.2, 0.3])
-        res = evaluate_retrieval(q, g, [5], [0], [9, 9, 5], [1, 1, 1],
-                                 ks=(1, 2, 3))
-        assert res.cmc == {1: 0.0, 2: 0.0, 3: 1.0}
+        g = embed_on_line([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
+        res = evaluate_retrieval(q, g, [5], [0], [9, 9, 9, 9, 9, 5, 9], [1] * 7)
+        assert res.cmc == {1: 0.0, 5: 0.0, 10: 1.0}
 
     def test_denominator_counts_only_valid_queries(self):
         q = embed_on_line([0.0, 1.0])

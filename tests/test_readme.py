@@ -30,3 +30,11 @@ def test_quick_start_commands_parse():
         argv = shlex.split(line)
         assert argv[0] == "hybridreid"
         assert parser.parse_args(argv[1:]).command == argv[1]
+
+
+def test_exit_code_table_matches_cli():
+    section = README.read_text().split("### Exit codes", 1)[1]
+    table = section.strip().split("\n\n", 1)[0]
+    codes = [int(m) for m in re.findall(r"^\|\s*(\d+)\s*\|", table, re.M)]
+    constants = [v for k, v in vars(cli).items() if k.startswith("EXIT_")]
+    assert codes == sorted(constants)

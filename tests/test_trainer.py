@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import logging
 
 import numpy as np
@@ -45,23 +46,29 @@ RECORDED = dict(zip(
 ))
 
 
+class StepLog(list):
+    """(epoch, iteration, name) records, plus the number of labeling passes."""
+
+    labeling_passes = 0
+
+
 @pytest.fixture
 def step_log(monkeypatch):
-    """A list of (epoch, iteration, name) for each loss read, optimizer step
-    and bank write ``train`` makes, in call order, recorded by wrapping the
-    names the trainer calls. Each ``pseudo_label`` call starts an epoch and
-    each instance-bank write ends an iteration."""
-    log = []
-    at = {"epoch": -1, "iteration": 0}
+    """A StepLog of (epoch, iteration, name) for each loss read, optimizer
+    step and bank write ``train`` makes, in call order, recorded by wrapping
+    the names the trainer calls. Each ``pseudo_label`` call is a labeling
+    pass and starts an epoch; each instance-bank write ends an iteration."""
+    log = StepLog()
+    at = {"iteration": 0}
 
     def start_epoch(*args, **kwargs):
-        at["epoch"] += 1
+        log.labeling_passes += 1
         at["iteration"] = 0
         return pseudo_label(*args, **kwargs)
 
     def recorder(fn, name):
         def wrapped(*args, **kwargs):
-            log.append((at["epoch"], at["iteration"], name))
+            log.append((log.labeling_passes - 1, at["iteration"], name))
             if name == EVENT_ORDER[-1]:
                 at["iteration"] += 1
             return fn(*args, **kwargs)
@@ -167,31 +174,62 @@ class TestReports:
         assert all(r.loss_cls == 0.0 for r in reports)
 
 
+def probe_features():
+    """A set whose epoch 0 forms 22 clusters at probe_config, and whose
+    trained model then forms 21: training stops after one epoch."""
+    spec = SynthSpec(num_identities=20, instances_per_identity=10, dims=16, seed=2,
+                     sigma_cam=0.15)
+    return generate(spec)[0].features
+
+
+def probe_config(**kw):
+    base = dict(num_identities_per_batch=22, instances_per_identity=4,
+                slots_per_cluster=4, kreciprocal_k=6, seed=2, lr=0.003)
+    base.update(kw)
+    return TrainConfig(**base)
+
+
 class TestEpochSkip:
-    def test_too_few_clusters_skips_training(self, step_log):
-        feats = train_features(num_identities=3)
-        _, _, reports = train(feats, small_config(num_identities_per_batch=10))
-        assert step_log == []
-        assert len(reports) == 3
-        for r in reports:
-            assert r.loss == 0.0
-            assert 0 < r.num_clusters < 10
-
-    def test_collapse_aborts_after_three_empty_epochs(self, rng):
-        feats = train_features()
-        cfg = small_config(
-            epochs=10, dbscan_eps=1e-6, dbscan_min_pts=50, kreciprocal_k=5
-        )
-        with pytest.raises(ClusteringCollapseError):
-            train(feats, cfg)
-
-    def test_model_params_untouched_on_skipped_epochs(self):
-        feats = train_features(num_identities=3)
+    @pytest.mark.parametrize("set_kw, cfg_kw, clusters", [
+        # every sample is an outlier
+        ({}, dict(epochs=10, dbscan_eps=1e-6, dbscan_min_pts=50, kreciprocal_k=5), "0"),
+        # 3 identities form 0 < C < 10 clusters
+        (dict(num_identities=3), dict(num_identities_per_batch=10), "[1-9]"),
+    ], ids=["no-clusters", "too-few-clusters"])
+    def test_no_trained_epoch_raises_after_one_pass(self, step_log, set_kw,
+                                                   cfg_kw, clusters):
+        feats = train_features(**set_kw)
         model = MLPEncoder([12, 16, 8], seed=1)
         before = [p.copy() for p in model.parameters()]
-        train(feats, small_config(num_identities_per_batch=10), model=model)
+        cfg = small_config(**cfg_kw)
+        with pytest.raises(ClusteringCollapseError,
+                           match=rf"epoch 0 formed {clusters} clusters and \d+ outliers "
+                                 rf"of n={feats.shape[0]} samples, fewer than "
+                                 rf"num_identities_per_batch={cfg.num_identities_per_batch};"):
+            train(feats, cfg, model=model)
+        assert step_log.labeling_passes == 1
+        assert step_log == []
         for p, b in zip(model.parameters(), before):
             assert np.array_equal(p, b)
+
+    def test_training_stops_at_first_epoch_without_a_batch(self, step_log, caplog):
+        feats = probe_features()
+        model_1, opt_1, reports_1 = train(feats, probe_config(epochs=1))
+        assert [r.num_clusters for r in reports_1] == [22]
+        step_log.labeling_passes = 0
+        caplog.set_level(logging.INFO, logger="hybridreid.trainer")
+        model_10, opt_10, reports_10 = train(feats, probe_config(epochs=10))
+        assert step_log.labeling_passes == 2
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.name == "hybridreid.trainer" and r.levelno == logging.WARNING]
+        assert warnings == ["epoch 1: 21 clusters < 22 identities per batch; "
+                            "stopping after 1 trained epochs"]
+        for a, b in zip([*model_10.parameters(), *opt_10.m, *opt_10.v],
+                        [*model_1.parameters(), *opt_1.m, *opt_1.v]):
+            assert a.tobytes() == b.tobytes()
+        assert (opt_10.step_count, opt_10.epoch) == (opt_1.step_count, opt_1.epoch)
+        assert ([dataclasses.replace(r, seconds=0.0) for r in reports_10]
+                == [dataclasses.replace(r, seconds=0.0) for r in reports_1])
 
     def test_more_instances_per_identity_than_samples_rejected_before_compute(
             self, step_log):
@@ -221,18 +259,13 @@ class TestLogging:
         assert [r.levelno for r in records] == [logging.INFO] * 2
         assert [r.getMessage().split(":")[0] for r in records] == ["epoch 0", "epoch 1"]
 
-    def test_one_warning_per_skipped_epoch(self, caplog):
+    def test_one_warning_when_training_stops(self, caplog):
         caplog.set_level(logging.INFO, logger="hybridreid.trainer")
-        feats = train_features(num_identities=3)
-        train(feats, small_config(num_identities_per_batch=10))
+        train(probe_features(), probe_config(epochs=3))
         records = [r for r in caplog.records if r.name == "hybridreid.trainer"]
-        warnings = [r.getMessage() for r in records if r.levelno == logging.WARNING]
-        infos = [r.getMessage() for r in records if r.levelno == logging.INFO]
-        assert len(records) == len(warnings) + len(infos) == 6
-        for epoch in range(3):
-            assert warnings[epoch].startswith(f"epoch {epoch}: ")
-            assert warnings[epoch].endswith("skipping")
-            assert infos[epoch].startswith(f"epoch {epoch}: ")
+        assert [(r.levelno, r.getMessage().split(":")[0]) for r in records] == [
+            (logging.INFO, "epoch 0"), (logging.WARNING, "epoch 1")]
+        assert records[-1].getMessage().endswith("stopping after 1 trained epochs")
 
 
 class TestIdentityWall:
