@@ -189,30 +189,42 @@ def probe_config(**kw):
     return TrainConfig(**base)
 
 
+# (train_features kwargs, small_config kwargs, cluster count pattern) of
+# sets whose epoch 0 forms no batch
+NEVER_TRAINED = [
+    # every sample is an outlier
+    ({}, dict(epochs=10, dbscan_eps=1e-6, dbscan_min_pts=50, kreciprocal_k=5), "0"),
+    # 3 identities form 0 < C < 10 clusters
+    (dict(num_identities=3), dict(num_identities_per_batch=10), "[1-9]"),
+]
+
+
 class TestEpochSkip:
-    @pytest.mark.parametrize("set_kw, cfg_kw, clusters", [
-        # every sample is an outlier
-        ({}, dict(epochs=10, dbscan_eps=1e-6, dbscan_min_pts=50, kreciprocal_k=5), "0"),
-        # 3 identities form 0 < C < 10 clusters
-        (dict(num_identities=3), dict(num_identities_per_batch=10), "[1-9]"),
-    ], ids=["no-clusters", "too-few-clusters"])
+    @pytest.mark.parametrize("set_kw, cfg_kw, clusters", NEVER_TRAINED,
+                             ids=["no-clusters", "too-few-clusters"])
     def test_no_trained_epoch_raises_after_one_pass(self, step_log, set_kw,
                                                    cfg_kw, clusters):
         feats = train_features(**set_kw)
-        model = MLPEncoder([12, 16, 8], seed=1)
-        before = [p.copy() for p in model.parameters()]
         cfg = small_config(**cfg_kw)
         with pytest.raises(ClusteringCollapseError,
                            match=rf"epoch 0 formed {clusters} clusters and \d+ outliers "
                                  rf"of n={feats.shape[0]} samples, fewer than "
                                  rf"num_identities_per_batch={cfg.num_identities_per_batch};"):
-            train(feats, cfg, model=model)
+            train(feats, cfg)
         assert step_log.labeling_passes == 1
         assert step_log == []
-        for p, b in zip(model.parameters(), before):
-            assert np.array_equal(p, b)
 
-    def test_training_stops_at_first_epoch_without_a_batch(self, step_log, caplog):
+    def test_model_params_untouched_on_skipped_epochs(self):
+        for set_kw, cfg_kw, _ in NEVER_TRAINED:
+            model = MLPEncoder([12, 16, 8], seed=1)
+            before = [p.copy() for p in model.parameters()]
+            with pytest.raises(ClusteringCollapseError):
+                train(train_features(**set_kw), small_config(**cfg_kw), model=model)
+            for p, b in zip(model.parameters(), before):
+                assert np.array_equal(p, b)
+
+    def test_too_few_clusters_skips_training(self, step_log, caplog):
+        # epoch 1 forms 21 < 22 clusters: it and every later epoch go untrained
         feats = probe_features()
         model_1, opt_1, reports_1 = train(feats, probe_config(epochs=1))
         assert [r.num_clusters for r in reports_1] == [22]
