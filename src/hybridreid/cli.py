@@ -49,7 +49,8 @@ EXIT_NUMERIC = 4
 EXIT_COLLAPSE = 5
 
 METRICS_HEADER = ["epoch", "C", "outliers", "loss", "loss_cls", "loss_ins", "seconds"]
-ABLATE_HEADER = ["mu", "seed", "mAP", "rank1", "rank5", "rank10"]
+ABLATE_METRICS = ("mAP", "rank1", "rank5", "rank10")
+ABLATE_HEADER = ["mu", "seed", "trained_epochs", *ABLATE_METRICS]
 
 def _limit_blas_threads(n: int) -> bool:
     """Cap BLAS at ``n`` threads; False when threadpoolctl is not installed."""
@@ -269,15 +270,15 @@ def cmd_evaluate(args) -> int:
 
 
 def _ablate_run(payload):
-    """One (mu, seed) cell's metrics; module-level so process pools can
-    pickle it."""
+    """One (mu, seed) cell's metrics and the number of epochs it trained;
+    module-level so process pools can pickle it."""
     features_path, query_path, gallery_path, cfg, deterministic = payload
     if deterministic:
         _limit_blas_threads(1)
-    model, _, _ = train(load_features(features_path).features, cfg)
+    model, _, reports = train(load_features(features_path).features, cfg)
     result = _evaluate_sets(load_features(query_path),
                             load_features(gallery_path), model=model)
-    return result.metrics()
+    return result.metrics(), len(reports)
 
 
 def cmd_ablate(args) -> int:
@@ -286,6 +287,10 @@ def cmd_ablate(args) -> int:
              for mu in args.mu_values for seed in args.seeds]
     for cell in cells:
         validate_config(cell)
+    threads = os.environ.get("HHCL_THREADS", "1")
+    if not (threads.isdecimal() and int(threads) >= 1):
+        raise ConfigError(f"HHCL_THREADS must be an integer >= 1, got {threads!r}")
+    workers = int(threads)
     pinning = _pin_blas_for_determinism() if args.deterministic else {}
     out_dir = Path(args.out_dir)
     summary_path = out_dir / "summary.csv"
@@ -298,7 +303,6 @@ def cmd_ablate(args) -> int:
     validate_config(cfg, num_samples=load_features(args.features).ids.size)
     payloads = [(args.features, args.query, args.gallery, cell, args.deterministic)
                 for cell in cells]
-    workers = max(1, int(os.environ.get("HHCL_THREADS", "1")))
     if workers > 1 and len(payloads) > 1:
         # imported here: the process pool's modules cost every other command
         from concurrent.futures import ProcessPoolExecutor
@@ -306,14 +310,16 @@ def cmd_ablate(args) -> int:
             results = list(pool.map(_ablate_run, payloads))
     else:
         results = [_ablate_run(p) for p in payloads]
-    # the columns after mu and seed are metric names
     _write_csv(summary_path, ABLATE_HEADER, (
-        [f"{cell.mu:.10g}", cell.seed, *(f"{metrics[k]:.10g}" for k in ABLATE_HEADER[2:])]
-        for cell, metrics in zip(cells, results)
+        [f"{cell.mu:.10g}", cell.seed, epochs,
+         *(f"{metrics[k]:.10g}" for k in ABLATE_METRICS)]
+        for cell, (metrics, epochs) in zip(cells, results)
     ))
     for mu in args.mu_values:
-        maps = [m["mAP"] for cell, m in zip(cells, results) if cell.mu == mu]
-        print(f"mu={mu:g}: mean mAP={np.mean(maps):.4f} over {len(maps)} seeds")
+        runs = [r for cell, r in zip(cells, results) if cell.mu == mu]
+        short = sum(epochs < cfg.epochs for _, epochs in runs)
+        print(f"mu={mu:g}: mean mAP={np.mean([m['mAP'] for m, _ in runs]):.4f} "
+              f"over {len(runs)} seeds, {short} trained fewer than {cfg.epochs} epochs")
     return EXIT_OK
 
 

@@ -1,7 +1,7 @@
 """Pseudo-label generation: k-reciprocal neighbor sets, their Jaccard
-distance and a deterministic DBSCAN. Neighbors are ranked one row block
-at a time and the sets and Jaccard distances are CSR matrices, so no step
-holds an N x N array."""
+distance and a deterministic DBSCAN. Neighbors are ranked 64 rows at a
+time and the sets and Jaccard distances are CSR matrices, so the working
+set is a few 64 x N blocks plus O(N k) sets, never an N x N array."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from .core import OUTLIER, PseudoLabeling
 from .ranking import _pair_distances, _screen_tolerance
 
 # Rows ranked at once; labeling memory is a few BLOCK_ROWS x N arrays.
-BLOCK_ROWS = 256
+BLOCK_ROWS = 64
 
 
 def k_reciprocal_neighbors(emb: np.ndarray, k: int):
@@ -40,11 +40,11 @@ def k_reciprocal_neighbors(emb: np.ndarray, k: int):
     # u comes out of the GEMM itself, as [2 e_i, -1] . [e_j, |e_j|^2]: adding
     # |e_j|^2 to each block afterwards costs a pass as long as the GEMM, and
     # argpartition takes longer to find the k smallest t than the k largest u
-    lhs = np.hstack([2.0 * emb, -np.ones((n, 1))])
     rhs = np.hstack([emb, sq[:, None]])
     knn = np.empty((n, k), dtype=np.int64)
     for lo in range(0, n, BLOCK_ROWS):
-        u = lhs[lo:lo + BLOCK_ROWS] @ rhs.T
+        block = emb[lo:lo + BLOCK_ROWS]
+        u = np.hstack([2.0 * block, -np.ones((block.shape[0], 1))]) @ rhs.T
         rows = np.arange(u.shape[0])
         u[rows, lo + rows] = -np.inf
         order = np.argpartition(u, n - k - 1, axis=1)
@@ -83,12 +83,14 @@ def jaccard_distance(neighbor_sets):
     sets = sparse.csr_array(neighbor_sets, dtype=bool)
     n = sets.shape[0]
     sets = (sets + sparse.eye_array(n, dtype=bool, format="csr")).astype(np.int32)
-    sizes = sets.sum(axis=1)
+    sizes = sets.sum(axis=1, dtype=np.float64)  # small integers, so sums are exact
     inter = sets @ sets.T
     inter.sort_indices()
-    rows = np.repeat(np.arange(n), np.diff(inter.indptr))
-    union = sizes[rows] + sizes[inter.indices] - inter.data
-    dist = 1.0 - inter.data.astype(np.float64) / union.astype(np.float64)
+    # the union |R(i)| + |R(j)| - |R(i) & R(j)|, then the distance, in place
+    dist = np.repeat(sizes, np.diff(inter.indptr))
+    dist += sizes[inter.indices]
+    dist -= inter.data
+    np.subtract(1.0, np.divide(inter.data, dist, out=dist), out=dist)
     return sparse.csr_array((dist, inter.indices, inter.indptr), shape=(n, n))
 
 
@@ -109,12 +111,10 @@ def dbscan(dist, eps: float, min_pts: int) -> PseudoLabeling:
     if not sparse.issparse(dist):
         raise TypeError("dbscan expects a sparse distance matrix")
     dist = sparse.csr_array(dist)
-    near = dist.data <= eps
     n = dist.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(dist.indptr))[near]
-    cols = dist.indices[near]
-    off_diagonal = rows != cols
-    rows, cols = rows[off_diagonal], cols[off_diagonal]
+    rows = np.repeat(np.arange(n), np.diff(dist.indptr))
+    near = (dist.data <= eps) & (rows != dist.indices)  # the point itself excluded
+    rows, cols = rows[near], dist.indices[near]
     core = (np.bincount(rows, minlength=n) >= min_pts).tolist()
     bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
     cols = cols.tolist()

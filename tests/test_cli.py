@@ -29,6 +29,21 @@ def dataset_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def probe_dir(tmp_path_factory):
+    """The partial-run probe's set: at PROBE_FLAGS, epoch 0 forms 22 clusters
+    and trains, and the trained model forms 21, too few for a batch."""
+    out = tmp_path_factory.mktemp("probe")
+    assert main(["gen-data", "--out-dir", str(out), "--num-identities", "20",
+                 "--instances-per-identity", "10", "--dims", "16", "--seed", "2",
+                 "--sigma-cam", "0.15"]) == 0
+    return out
+
+
+PROBE_FLAGS = ["--epochs", "10", "--num-identities-per-batch", "22",
+               "--instances-per-identity", "4", "--slots-per-cluster", "4",
+               "--kreciprocal-k", "6", "--lr", "0.003"]
+
 TRAIN_FLAGS = [
     "--epochs", "2",
     "--num-identities-per-batch", "2",
@@ -474,18 +489,11 @@ class TestExitCodes:
         assert sorted(p.name for p in ablate_out.iterdir()) == ["manifest.json"]
         capsys.readouterr()
 
-    def test_one_trained_epoch_exits_0(self, tmp_path, capsys):
-        # epoch 0 forms 22 clusters and trains; the trained model forms 21,
-        # too few for a batch, so training stops there
-        data, out = tmp_path / "d", tmp_path / "o"
-        assert main(["gen-data", "--out-dir", str(data), "--num-identities", "20",
-                     "--instances-per-identity", "10", "--dims", "16", "--seed", "2",
-                     "--sigma-cam", "0.15"]) == 0
-        assert main(["train", "--features", str(data / "train.feat"),
-                     "--out-dir", str(out), "--epochs", "10",
-                     "--num-identities-per-batch", "22", "--instances-per-identity", "4",
-                     "--slots-per-cluster", "4", "--kreciprocal-k", "6", "--seed", "2",
-                     "--lr", "0.003", "--deterministic"]) == 0
+    def test_one_trained_epoch_exits_0(self, probe_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["train", "--features", str(probe_dir / "train.feat"),
+                     "--out-dir", str(out), *PROBE_FLAGS, "--seed", "2",
+                     "--deterministic"]) == 0
         assert "trained 1 epochs: C=22 " in capsys.readouterr().out
         with open(out / "metrics.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -607,14 +615,43 @@ class TestAblate:
                                            capsys):
         out = tmp_path / "ab"
         assert main(self.ablate_args(dataset_dir, out)) == 0
-        capsys.readouterr()
+        stdout = capsys.readouterr().out
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["mu", "seed", "mAP", "rank1", "rank5", "rank10"]
+        assert rows[0] == ["mu", "seed", "trained_epochs", "mAP", "rank1", "rank5",
+                           "rank10"]
         grid = [(r[0], r[1]) for r in rows[1:]]
         assert grid == [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
         for r in rows[1:]:
-            assert 0.0 <= float(r[2]) <= 1.0
+            assert r[2] == "2"
+            assert 0.0 <= float(r[3]) <= 1.0
+        assert stdout.count("over 2 seeds, 0 trained fewer than 2 epochs") == 2
+
+    def test_cell_that_stopped_early_is_counted(self, probe_dir, tmp_path, capsys):
+        out = tmp_path / "ab"
+        assert main(["ablate", "--features", str(probe_dir / "train.feat"),
+                     "--query", str(probe_dir / "query.feat"),
+                     "--gallery", str(probe_dir / "gallery.feat"),
+                     "--out-dir", str(out), "--mu-values", "0.5", "--seeds", "2",
+                     *PROBE_FLAGS]) == 0
+        assert "over 1 seeds, 1 trained fewer than 10 epochs" in capsys.readouterr().out
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["seed"], r["trained_epochs"]) for r in rows] == [("2", "1")]
+
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_bad_hhcl_threads_exits_2_before_manifest(self, dataset_dir, tmp_path,
+                                                      capsys, monkeypatch, threads):
+        def no_loading(*args, **kwargs):
+            raise AssertionError("a features file was read")
+
+        monkeypatch.setattr(cli, "load_features", no_loading)
+        monkeypatch.setenv("HHCL_THREADS", threads)
+        out = tmp_path / "ab"
+        assert main(self.ablate_args(dataset_dir, out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "HHCL_THREADS" in err[0] and repr(threads) in err[0]
+        assert not out.exists()
 
     def test_parallel_matches_serial(self, dataset_dir, tmp_path, capsys,
                                      monkeypatch):

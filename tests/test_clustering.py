@@ -334,21 +334,36 @@ class TestPseudoLabelPipeline:
             with pytest.raises(ValueError, match="eps"):
                 pseudo_label(emb, k=3, eps=eps, min_pts=2)
 
-    def test_peak_memory_below_one_dense_matrix(self, rng):
-        # near copies, and exact ones, where every row takes per-pair
-        # distances for its 20 tied columns
-        n = 3000
+    PEAK_N = 3000
+
+    def labeling_peaks(self, rng):
+        """The tracemalloc peak of ``pseudo_label`` at k=30 on PEAK_N near
+        copies of 150 prototypes, and on exact ones, where every row takes
+        per-pair distances for its 20 tied columns."""
         protos = l2_normalize(rng.standard_normal((150, 64)))
-        copies = np.repeat(protos, 20, axis=0)
-        for emb in (l2_normalize(copies + 0.05 * rng.standard_normal((n, 64))), copies):
+        copies = np.repeat(protos, self.PEAK_N // 150, axis=0)
+        noise = 0.05 * rng.standard_normal(copies.shape)
+        peaks = []
+        for emb in (l2_normalize(copies + noise), copies):
             tracemalloc.start()
             try:
                 lab = pseudo_label(emb, k=30, eps=0.45, min_pts=4)
-                peak = tracemalloc.get_traced_memory()[1]
+                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             assert lab.num_clusters > 0
+        return peaks
+
+    def test_peak_memory_below_one_dense_matrix(self, rng):
+        n = self.PEAK_N
+        for peak in self.labeling_peaks(rng):
             assert peak < n * n * 8, f"peak {peak / 2**20:.1f} MiB"
+
+    def test_peak_memory_is_a_few_row_blocks(self, rng):
+        # a 64 x 3000 float64 block is 1.5 MiB; ranking 256-row blocks
+        # beside an N x (D+1) operand copy peaked at 21 and 34 MiB here
+        for peak in self.labeling_peaks(rng):
+            assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 # distances 1 - |A & B| / |A | B| of small sets, so eps lands on the boundary

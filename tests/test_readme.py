@@ -1,12 +1,12 @@
 """The README's examples: the Python API one executed as written, and the
-Quick start commands parsed by the CLI."""
+Quick start commands parsed by the CLI; and the constants it states."""
 
 import ast
 import re
 import shlex
 from pathlib import Path
 
-from hybridreid import cli
+from hybridreid import cli, clustering, evaluation
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -38,3 +38,12 @@ def test_exit_code_table_matches_cli():
     codes = [int(m) for m in re.findall(r"^\|\s*(\d+)\s*\|", table, re.M)]
     constants = [v for k, v in vars(cli).items() if k.startswith("EXIT_")]
     assert codes == sorted(constants)
+
+
+def test_block_sizes_match_code():
+    text = README.read_text()
+    rows = re.findall(r"(\d+)\s+rows\s+at\s+a\s+time", text)
+    queries = re.findall(r"per\s+(\d+)-query\s+block", text)
+    assert rows and queries
+    assert {int(r) for r in rows} == {clustering.BLOCK_ROWS}
+    assert {int(q) for q in queries} == {evaluation.SCREEN_BLOCK}
