@@ -27,8 +27,6 @@ from .encoder import AdamState, MLPEncoder, adam_step, load_checkpoint, save_che
 from .evaluation import evaluate_retrieval
 from .loss import cluster_loss, hard_instance_loss, softmax_contrastive
 from .memory import (
-    ClusterBank,
-    InstanceBank,
     init_cluster_bank,
     init_instance_bank,
     update_cluster_bank,
@@ -57,8 +55,6 @@ __all__ = [
     "load_features",
     "pseudo_label",
     "dbscan",
-    "ClusterBank",
-    "InstanceBank",
     "init_cluster_bank",
     "update_cluster_bank",
     "init_instance_bank",

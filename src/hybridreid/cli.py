@@ -283,6 +283,9 @@ def _ablate_run(payload):
 
 def cmd_ablate(args) -> int:
     cfg = _merge_config(args)
+    for flag, values in (("--mu-values", args.mu_values), ("--seeds", args.seeds)):
+        if len(set(values)) < len(values):
+            raise ConfigError(f"{flag} repeats a value: {' '.join(map(str, values))}")
     cells = [dataclasses.replace(cfg, mu=mu, seed=seed)
              for mu in args.mu_values for seed in args.seeds]
     for cell in cells:

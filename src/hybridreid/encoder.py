@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (FileFormatError, TrainConfig, _HEADER, _check_size, _read_binary,
-                   _write_binary)
+from .core import (FileFormatError, NumericError, TrainConfig, _HEADER, _check_size,
+                   _read_binary, _write_binary)
 
 CHECKPOINT_MAGIC = b"HHCK"
 CHECKPOINT_VERSION = 1
@@ -69,7 +69,7 @@ class MLPEncoder:
         if a.ndim != 2 or a.shape[1] != self.widths[0]:
             raise ValueError(f"inputs must be B x {self.widths[0]}, got {a.shape}")
         if not np.all(np.isfinite(a)):
-            raise ValueError("non-finite inputs")
+            raise NumericError("non-finite inputs")
         acts = [a]
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ w + b
@@ -78,7 +78,11 @@ class MLPEncoder:
                 acts.append(a)
             else:
                 a = z
-        denom = np.sqrt(np.sum(a * a, axis=1, keepdims=True) + NORM_EPS)
+        with np.errstate(over="ignore"):
+            sq_norms = np.sum(a * a, axis=1, keepdims=True)
+        if not np.all(np.isfinite(sq_norms)):
+            raise NumericError("non-finite embedding norms: the weights have diverged")
+        denom = np.sqrt(sq_norms + NORM_EPS)
         emb = a / denom
         cache = (acts, emb, denom)
         return emb, cache

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .core import NumericError
-from .memory import ClusterBank, InstanceBank, _checked_ids, hard_keys
+from .memory import _checked_ids, hard_keys
 
 
 @dataclass
@@ -54,15 +54,15 @@ def softmax_contrastive(queries, keys, positives, tau: float) -> LossOutput:
     return LossOutput(values, (p @ keys - keys[positives]) / tau)
 
 
-def cluster_loss(batch, bank: ClusterBank, own_clusters, tau_c: float) -> LossOutput:
-    """Contrastive loss of each batch row against all cluster centroids; the
-    row's own centroid is the positive."""
-    return softmax_contrastive(batch, bank.centroids, own_clusters, tau_c)
+def cluster_loss(batch, centroids, own_clusters, tau_c: float) -> LossOutput:
+    """Contrastive loss of each batch row against all C x D cluster
+    centroids; the row's own centroid is the positive."""
+    return softmax_contrastive(batch, centroids, own_clusters, tau_c)
 
 
-def hard_instance_loss(batch, bank: InstanceBank, own_clusters,
-                       tau_ins: float) -> LossOutput:
-    """Contrastive loss of each batch row over one hard key per cluster.
+def hard_instance_loss(batch, slots, own_clusters, tau_ins: float) -> LossOutput:
+    """Contrastive loss of each batch row over one hard key per cluster of
+    the C x S x D slots.
 
     The positive is the own-cluster slot least similar to the row; every
     other cluster contributes its most similar slot as a negative. The
@@ -70,12 +70,12 @@ def hard_instance_loss(batch, bank: InstanceBank, own_clusters,
     gradient is one sparse (B x C*S) @ (C*S x D) product whose row b holds
     p_bc at each picked slot, minus 1 at the positive.
     """
-    picks, sims = hard_keys(batch, bank, own_clusters)
+    picks, sims = hard_keys(batch, slots, own_clusters)
     own = np.asarray(own_clusters, dtype=np.int64)
     values, p = _softmax_rows(sims, own, tau_ins)
     p[np.arange(p.shape[0]), own] -= 1.0
-    c, s, d = bank.slots.shape
+    c, s, d = slots.shape
     flat_slots = picks + s * np.arange(c)
     weights = csr_array((p.ravel(), flat_slots.ravel(), np.arange(0, p.size + 1, c)),
                         shape=(p.shape[0], c * s))
-    return LossOutput(values, weights @ bank.slots.reshape(c * s, d) / tau_ins)
+    return LossOutput(values, weights @ slots.reshape(c * s, d) / tau_ins)

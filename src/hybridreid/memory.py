@@ -1,11 +1,10 @@
-"""Dual memory banks: per-cluster centroids with momentum updates and
-per-cluster instance slots with replacement updates plus hard positive /
-hard negative selection."""
+"""Dual memory banks as plain arrays: C x D cluster centroids with momentum
+updates and C x S x D per-cluster instance slots with replacement updates,
+plus hard positive / hard negative selection."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -14,38 +13,6 @@ from .core import PseudoLabeling
 # Mean vectors shorter than this are treated as degenerate (e.g. the mean
 # of two antipodal unit vectors).
 DEGENERATE_NORM = 1e-12
-
-
-@dataclass
-class ClusterBank:
-    """C x D unit-norm cluster centroids with momentum coefficient alpha."""
-
-    centroids: np.ndarray
-    alpha: float
-
-    @property
-    def num_clusters(self) -> int:
-        return int(self.centroids.shape[0])
-
-
-@dataclass
-class InstanceBank:
-    """C x S x D unit-norm instance features, S slots per cluster."""
-
-    slots: np.ndarray
-    cursors: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.cursors is None:
-            self.cursors = np.zeros(self.slots.shape[0], dtype=np.int64)
-
-    @property
-    def num_clusters(self) -> int:
-        return int(self.slots.shape[0])
-
-    @property
-    def slots_per_cluster(self) -> int:
-        return int(self.slots.shape[1])
 
 
 def _checked_ids(ids, num: int) -> np.ndarray:
@@ -58,8 +25,8 @@ def _checked_ids(ids, num: int) -> np.ndarray:
     return ids
 
 
-def init_cluster_bank(emb, labels: PseudoLabeling, alpha: float) -> ClusterBank:
-    """Centroid i = normalized mean of cluster i's embeddings; outliers excluded."""
+def init_cluster_bank(emb, labels: PseudoLabeling) -> np.ndarray:
+    """C x D centroids: row i is cluster i's normalized mean, outliers excluded."""
     emb = np.asarray(emb, dtype=np.float64)
     c, d = labels.num_clusters, emb.shape[1]
     centroids = np.zeros((c, d), dtype=np.float64)
@@ -71,22 +38,22 @@ def init_cluster_bank(emb, labels: PseudoLabeling, alpha: float) -> ClusterBank:
         if norm < DEGENERATE_NORM:
             raise ValueError(f"cluster {i} has a degenerate (zero) mean")
         centroids[i] = mean / norm
-    return ClusterBank(centroids=centroids, alpha=alpha)
+    return centroids
 
 
-def update_cluster_bank(bank: ClusterBank, batch_emb, batch_labels):
-    """Momentum update: c_i <- alpha*c_i + (1-alpha)*mean_i, then renormalize.
+def update_cluster_bank(centroids, batch_emb, batch_labels, alpha: float):
+    """In-place momentum update c_i <- alpha*c_i + (1-alpha)*mean_i, renormalized.
 
     Only clusters present in the batch are touched. alpha = 1 is an exact
     no-op, so the stored rows are left bit-identical.
     """
     batch_emb = np.asarray(batch_emb, dtype=np.float64)
-    batch_labels = _checked_ids(batch_labels, bank.num_clusters)
-    if bank.alpha == 1.0:
+    batch_labels = _checked_ids(batch_labels, centroids.shape[0])
+    if alpha == 1.0:
         return
     for i in np.unique(batch_labels):
         cbar = batch_emb[batch_labels == i].mean(axis=0)
-        merged = bank.alpha * bank.centroids[i] + (1.0 - bank.alpha) * cbar
+        merged = alpha * centroids[i] + (1.0 - alpha) * cbar
         norm = np.linalg.norm(merged)
         if norm < DEGENERATE_NORM:
             warnings.warn(
@@ -95,11 +62,11 @@ def update_cluster_bank(bank: ClusterBank, batch_emb, batch_labels):
                 RuntimeWarning,
             )
             continue
-        bank.centroids[i] = merged / norm
+        centroids[i] = merged / norm
 
 
-def init_instance_bank(emb, labels: PseudoLabeling, slots: int, rng_seed) -> InstanceBank:
-    """Fill S slots per cluster by uniform sampling of its members.
+def init_instance_bank(emb, labels: PseudoLabeling, slots: int, rng_seed) -> np.ndarray:
+    """C x S x D slots, each cluster's S filled by uniform sampling of its members.
 
     Sampling is without replacement when the cluster has at least S
     members and with replacement otherwise.
@@ -115,39 +82,35 @@ def init_instance_bank(emb, labels: PseudoLabeling, slots: int, rng_seed) -> Ins
             raise ValueError(f"cluster {i} has no members")
         idx = rng.choice(members, size=slots, replace=members.size < slots)
         bank[i] = emb[idx]
-    return InstanceBank(slots=bank)
+    return bank
 
 
-def update_instance_bank(bank: InstanceBank, batch_emb, batch_labels):
-    """Replace stored slots of every cluster present in the batch.
+def update_instance_bank(slots, batch_emb, batch_labels):
+    """Replace in place the slots of every cluster present in the batch.
 
-    Batch instances overwrite slots round-robin from a per-cluster cursor
-    that persists across iterations; with exactly S instances per cluster
-    this reduces to slot k <- batch instance k.
+    A cluster's k-th row in batch order goes to slot k mod S. Of more than
+    S rows only the last S are written: slot p gets the last k = p (mod S).
     """
     batch_emb = np.asarray(batch_emb, dtype=np.float64)
-    batch_labels = _checked_ids(batch_labels, bank.num_clusters)
-    s = bank.slots_per_cluster
+    batch_labels = _checked_ids(batch_labels, slots.shape[0])
+    s = slots.shape[1]
     for i in np.unique(batch_labels):
         rows = np.flatnonzero(batch_labels == i)
-        start = int(bank.cursors[i])
-        positions = (start + np.arange(rows.size)) % s
-        bank.slots[i, positions] = batch_emb[rows]
-        bank.cursors[i] = (start + rows.size) % s
+        slots[i, np.arange(rows.size)[-s:] % s] = batch_emb[rows[-s:]]
 
 
-def hard_keys(batch, bank: InstanceBank, own_clusters):
+def hard_keys(batch, slots, own_clusters):
     """One key per cluster for every row of a B x D batch: the hard positive
     (least similar slot) in the row's own cluster, the hard negative (most
     similar slot) in every other cluster; ties go to the lowest slot.
 
     Returns (B x C slot indices, B x C similarities of the picked slots),
-    from one B x (C*S) product against the flattened slots.
+    from one B x (C*S) product against the flattened C x S x D slots.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    own_clusters = _checked_ids(own_clusters, bank.num_clusters)
-    c, s, d = bank.slots.shape
-    sims = (batch @ bank.slots.reshape(c * s, d).T).reshape(-1, c, s)
+    c, s, d = slots.shape
+    own_clusters = _checked_ids(own_clusters, c)
+    sims = (batch @ slots.reshape(c * s, d).T).reshape(-1, c, s)
     picks = np.argmax(sims, axis=2)
     rows = np.arange(sims.shape[0])
     picks[rows, own_clusters] = np.argmin(sims[rows, own_clusters], axis=1)

@@ -55,7 +55,7 @@ def embed_all(model: MLPEncoder, features) -> np.ndarray:
     return out
 
 
-def _batch_step(model, opt, feats, batch, cluster_bank, instance_bank, cfg):
+def _batch_step(model, opt, feats, batch, centroids, slots, cfg):
     """One Adam step and both bank updates on a batch; returns its mean
     cluster and instance losses over the drawn rows (0.0 for a loss mu
     leaves out).
@@ -78,18 +78,18 @@ def _batch_step(model, opt, feats, batch, cluster_bank, instance_bank, cfg):
     grad_emb = np.zeros_like(emb_u)
     loss_cls = loss_ins = 0.0
     if cfg.mu > 0.0:
-        out = cluster_loss(emb_u, cluster_bank, own, cfg.tau_c)
+        out = cluster_loss(emb_u, centroids, own, cfg.tau_c)
         loss_cls = float(out.values[drawn].mean())
         grad_emb += (cfg.mu / batch_size) * out.grad
     if cfg.mu < 1.0:
-        out = hard_instance_loss(emb_u, instance_bank, own, cfg.tau_ins)
+        out = hard_instance_loss(emb_u, slots, own, cfg.tau_ins)
         loss_ins = float(out.values[drawn].mean())
         grad_emb += ((1.0 - cfg.mu) / batch_size) * out.grad
     grad_emb *= counts[order, None]
     adam_step(model, model.backward(cache, grad_emb), opt)
     emb_b = emb_u[drawn]
-    update_cluster_bank(cluster_bank, emb_b, batch.cluster_ids)
-    update_instance_bank(instance_bank, emb_b, batch.cluster_ids)
+    update_cluster_bank(centroids, emb_b, batch.cluster_ids, cfg.alpha)
+    update_instance_bank(slots, emb_b, batch.cluster_ids)
     return loss_cls, loss_ins
 
 
@@ -143,8 +143,8 @@ def train(features, cfg: TrainConfig, model: MLPEncoder = None):
                 len(reports),
             )
             break
-        cluster_bank = init_cluster_bank(emb, labels, alpha=cfg.alpha)
-        instance_bank = init_instance_bank(
+        centroids = init_cluster_bank(emb, labels)
+        slots = init_instance_bank(
             emb,
             labels,
             slots=cfg.slots_per_cluster,
@@ -160,8 +160,8 @@ def train(features, cfg: TrainConfig, model: MLPEncoder = None):
         sum_cls = 0.0
         sum_ins = 0.0
         for batch in batches:
-            loss_cls, loss_ins = _batch_step(model, opt, feats, batch, cluster_bank,
-                                             instance_bank, cfg)
+            loss_cls, loss_ins = _batch_step(model, opt, feats, batch, centroids,
+                                             slots, cfg)
             sum_cls += loss_cls
             sum_ins += loss_ins
         mean_cls = sum_cls / len(batches)

@@ -197,18 +197,18 @@ def random_slot_keys(seed):
     with ``seed``."""
     rng = np.random.default_rng(seed)
 
-    def keys(batch, bank, own_clusters):
-        sims = np.einsum("bd,csd->bcs", batch, bank.slots)
+    def keys(batch, slots, own_clusters):
+        sims = np.einsum("bd,csd->bcs", batch, slots)
         picks = rng.integers(0, sims.shape[2], size=sims.shape[:2])
         return picks, _picked(sims, picks)
     return keys
 
 
-def easiest_positive_keys(batch, bank, own_clusters):
+def easiest_positive_keys(batch, slots, own_clusters):
     """A key rule with ``hard_keys``' signature and return shapes that picks
     the most similar slot of every cluster: the hardest negatives, but the
     easiest positive."""
-    sims = np.einsum("bd,csd->bcs", batch, bank.slots)
+    sims = np.einsum("bd,csd->bcs", batch, slots)
     picks = np.argmax(sims, axis=2)
     return picks, _picked(sims, picks)
 
@@ -274,7 +274,7 @@ def ref_evaluate(q_emb, g_emb, q_ids, q_cams, g_ids, g_cams, ks=(1, 5, 10),
     return sum(kept_aps) / len(kept_aps), cmc, aps
 
 
-def ref_batch_step(model, opt, feats, batch, cluster_bank, instance_bank, cfg):
+def ref_batch_step(model, opt, feats, batch, centroids, slots, cfg):
     """One training step computed per drawn row: embed and score all B rows
     of the batch, copies included, then backward, one Adam step and both
     bank updates. Returns the mean cluster and instance losses over the B
@@ -284,14 +284,14 @@ def ref_batch_step(model, opt, feats, batch, cluster_bank, instance_bank, cfg):
     grad_emb = np.zeros_like(emb_b)
     loss_cls = loss_ins = 0.0
     if cfg.mu > 0.0:
-        out = cluster_loss(emb_b, cluster_bank, batch.cluster_ids, cfg.tau_c)
+        out = cluster_loss(emb_b, centroids, batch.cluster_ids, cfg.tau_c)
         loss_cls = float(out.values.mean())
         grad_emb += (cfg.mu / batch_size) * out.grad
     if cfg.mu < 1.0:
-        out = hard_instance_loss(emb_b, instance_bank, batch.cluster_ids, cfg.tau_ins)
+        out = hard_instance_loss(emb_b, slots, batch.cluster_ids, cfg.tau_ins)
         loss_ins = float(out.values.mean())
         grad_emb += ((1.0 - cfg.mu) / batch_size) * out.grad
     adam_step(model, model.backward(cache, grad_emb), opt)
-    update_cluster_bank(cluster_bank, emb_b, batch.cluster_ids)
-    update_instance_bank(instance_bank, emb_b, batch.cluster_ids)
+    update_cluster_bank(centroids, emb_b, batch.cluster_ids, cfg.alpha)
+    update_instance_bank(slots, emb_b, batch.cluster_ids)
     return loss_cls, loss_ins

@@ -20,8 +20,6 @@ import numpy as np
 import pytest
 
 from hybridreid import (
-    ClusterBank,
-    InstanceBank,
     PseudoLabeling,
     SynthSpec,
     TrainConfig,
@@ -97,44 +95,40 @@ def test_criterion_1_gradients_match_finite_differences(capsys):
 
     for _ in range(100):  # cluster_loss
         c, d = int(rng.integers(2, 10)), int(rng.integers(2, 8))
-        bank = ClusterBank(
-            centroids=l2_normalize(rng.standard_normal((c, d))), alpha=0.2
-        )
+        centroids = l2_normalize(rng.standard_normal((c, d)))
         q = batch(d)
         own = rng.integers(0, c, size=q.shape[0])
         tau = float(rng.uniform(0.05, 1.0))
-        out = cluster_loss(q, bank, own, tau)
+        out = cluster_loss(q, centroids, own, tau)
         track(out.grad,
-              fd_grad(lambda: cluster_loss(q, bank, own, tau).values.sum(), q, FD_H))
+              fd_grad(lambda: cluster_loss(q, centroids, own, tau).values.sum(), q, FD_H))
 
     for _ in range(100):  # hard_instance_loss (selection is stop-gradient)
         c, s, d = int(rng.integers(2, 7)), int(rng.integers(2, 7)), 5
-        bank = InstanceBank(slots=l2_normalize(rng.standard_normal((c, s, d))))
+        slots = l2_normalize(rng.standard_normal((c, s, d)))
         q = batch(d)
         own = rng.integers(0, c, size=q.shape[0])
         tau = float(rng.uniform(0.05, 1.0))
-        out = hard_instance_loss(q, bank, own, tau)
+        out = hard_instance_loss(q, slots, own, tau)
         track(out.grad,
-              fd_grad(lambda: hard_instance_loss(q, bank, own, tau).values.sum(),
+              fd_grad(lambda: hard_instance_loss(q, slots, own, tau).values.sum(),
                       q, FD_H))
 
     for _ in range(100):  # the trainer's hybrid blend of the batch means
         d = 5
-        cbank = ClusterBank(
-            centroids=l2_normalize(rng.standard_normal((4, d))), alpha=0.2
-        )
-        ibank = InstanceBank(slots=l2_normalize(rng.standard_normal((4, 3, d))))
+        centroids = l2_normalize(rng.standard_normal((4, d)))
+        slots = l2_normalize(rng.standard_normal((4, 3, d)))
         q = batch(d)
         own = rng.integers(0, 4, size=q.shape[0])
         mu = float(rng.uniform(0.0, 1.0))
 
         def hybrid_value():
-            return (mu * cluster_loss(q, cbank, own, 0.2).values.mean()
-                    + (1.0 - mu) * hard_instance_loss(q, ibank, own, 0.2).values.mean())
+            return (mu * cluster_loss(q, centroids, own, 0.2).values.mean()
+                    + (1.0 - mu) * hard_instance_loss(q, slots, own, 0.2).values.mean())
 
         n = q.shape[0]
-        grad = ((mu / n) * cluster_loss(q, cbank, own, 0.2).grad
-                + ((1.0 - mu) / n) * hard_instance_loss(q, ibank, own, 0.2).grad)
+        grad = ((mu / n) * cluster_loss(q, centroids, own, 0.2).grad
+                + ((1.0 - mu) / n) * hard_instance_loss(q, slots, own, 0.2).grad)
         track(grad, fd_grad(hybrid_value, q, FD_H))
 
     for trial in range(100):  # full encoder chain through the loss
@@ -209,7 +203,7 @@ def test_criterion_2_oracle_equivalence(capsys):
         slots = l2_normalize(rng.standard_normal((c, s, dim)))
         queries = l2_normalize(rng.standard_normal((int(rng.integers(1, 5)), dim)))
         own = rng.integers(0, c, size=queries.shape[0])
-        picks, _ = hard_keys(queries, InstanceBank(slots=slots), own)
+        picks, _ = hard_keys(queries, slots, own)
         for r, query in enumerate(queries):
             for k in range(c):
                 ref = ref_hard_positive if k == own[r] else ref_hard_negative
@@ -233,29 +227,29 @@ def test_criterion_3_memory_bank_invariants(capsys):
     labels = PseudoLabeling(
         assignment=np.repeat(np.arange(7), 10), num_clusters=7
     )
-    cbank = init_cluster_bank(emb, labels, alpha=0.2)
-    ibank = init_instance_bank(emb, labels, slots=4, rng_seed=0)
+    centroids = init_cluster_bank(emb, labels)
+    slots = init_instance_bank(emb, labels, slots=4, rng_seed=0)
     frozen = 6  # never appears in any batch below
-    frozen_c = cbank.centroids[frozen].tobytes()
-    frozen_i = ibank.slots[frozen].tobytes()
-    identity_bank = init_cluster_bank(emb, labels, alpha=1.0)
-    identity_bytes = identity_bank.centroids.tobytes()
+    frozen_c = centroids[frozen].tobytes()
+    frozen_i = slots[frozen].tobytes()
+    identity = init_cluster_bank(emb, labels)
+    identity_bytes = identity.tobytes()
 
     for _ in range(1000):
         bsz = int(rng.integers(1, 10))
         batch = l2_normalize(rng.standard_normal((bsz, dim)))
         batch_labels = rng.integers(0, 6, size=bsz)
-        update_cluster_bank(cbank, batch, batch_labels)
-        update_instance_bank(ibank, batch, batch_labels)
-        update_cluster_bank(identity_bank, batch, batch_labels)
+        update_cluster_bank(centroids, batch, batch_labels, 0.2)
+        update_instance_bank(slots, batch, batch_labels)
+        update_cluster_bank(identity, batch, batch_labels, 1.0)
 
-    cnorm = np.abs(np.linalg.norm(cbank.centroids, axis=1) - 1.0).max()
+    cnorm = np.abs(np.linalg.norm(centroids, axis=1) - 1.0).max()
     inorm = np.abs(
-        np.linalg.norm(ibank.slots.reshape(-1, dim), axis=1) - 1.0
+        np.linalg.norm(slots.reshape(-1, dim), axis=1) - 1.0
     ).max()
-    untouched = (cbank.centroids[frozen].tobytes() == frozen_c
-                 and ibank.slots[frozen].tobytes() == frozen_i)
-    alpha_one_identity = identity_bank.centroids.tobytes() == identity_bytes
+    untouched = (centroids[frozen].tobytes() == frozen_c
+                 and slots[frozen].tobytes() == frozen_i)
+    alpha_one_identity = identity.tobytes() == identity_bytes
 
     check(
         capsys, 3,

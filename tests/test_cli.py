@@ -433,6 +433,21 @@ class TestExitCodes:
         assert rc == 4
         capsys.readouterr()
 
+    def test_diverged_training_exits_4(self, tmp_path, capsys):
+        # lr and weight decay this large overflow the encoder's output norms
+        data = tmp_path / "d"
+        assert main(["gen-data", "--out-dir", str(data), "--num-identities", "30",
+                     "--instances-per-identity", "10", "--dims", "16",
+                     "--seed", "1"]) == 0
+        capsys.readouterr()
+        rc = main(["train", "--features", str(data / "train.feat"),
+                   "--out-dir", str(tmp_path / "r"), "--epochs", "6", "--lr", "10000",
+                   "--weight-decay", "10000", "--num-identities-per-batch", "4",
+                   "--instances-per-identity", "4", "--kreciprocal-k", "6"])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_corrupt_magic_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.feat"
         bad.write_bytes(b"XXXX" + bytes(32))
@@ -504,7 +519,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("grid", [
         ["--mu-values", "0.5", "2.0", "--seeds", "0"],
         ["--mu-values", "0.5", "--seeds", "0", "-1"],
-    ], ids=["mu", "seed"])
+        ["--mu-values", "0.5", "0.5", "--seeds", "0", "1"],
+        ["--mu-values", "0.5", "--seeds", "1", "1"],
+    ], ids=["mu", "seed", "repeated-mu", "repeated-seed"])
     def test_ablate_mu_out_of_range_exits_2(self, dataset_dir, tmp_path,
                                             capsys, monkeypatch, grid):
         def no_training(*args, **kwargs):

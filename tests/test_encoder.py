@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hybridreid import AdamState, MLPEncoder, adam_step, load_checkpoint, save_checkpoint
-from hybridreid.core import FileFormatError, FileIOError
+from hybridreid.core import FileFormatError, FileIOError, NumericError
 from hybridreid.encoder import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
 
 from oracles import fd_grad, rel_err
@@ -43,8 +43,15 @@ class TestForward:
 
     def test_rejects_non_finite(self):
         model = MLPEncoder([2, 3], seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericError):
             model.forward(np.array([[1.0, np.nan]]))
+
+    def test_overflowing_output_norm_raises_numeric_error(self, rng):
+        model = MLPEncoder([4, 6, 3], seed=0)
+        for w in model.weights:
+            w *= 1e200
+        with pytest.raises(NumericError):
+            model.forward(rng.standard_normal((5, 4)))
 
     def test_invalid_widths(self):
         with pytest.raises(ValueError):

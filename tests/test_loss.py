@@ -4,9 +4,7 @@ from scipy.special import log_softmax
 
 from hybridreid import (
     OUTLIER,
-    ClusterBank,
     ConfigError,
-    InstanceBank,
     NumericError,
     TrainConfig,
     cluster_loss,
@@ -102,12 +100,12 @@ class TestSoftmaxContrastive:
             with pytest.raises(ValueError):
                 softmax_contrastive(queries, keys, bad, 0.1)
             with pytest.raises(ValueError):
-                cluster_loss(queries, ClusterBank(centroids=keys, alpha=0.2), bad, 0.1)
-            bank = InstanceBank(slots=l2_normalize(rng.standard_normal((3, 2, 4))))
+                cluster_loss(queries, keys, bad, 0.1)
+            slots = l2_normalize(rng.standard_normal((3, 2, 4)))
             with pytest.raises(ValueError):
-                hard_keys(queries, bank, bad)
+                hard_keys(queries, slots, bad)
             with pytest.raises(ValueError):
-                hard_instance_loss(queries, bank, bad, 0.1)
+                hard_instance_loss(queries, slots, bad, 0.1)
 
     def test_invalid_tau(self, rng):
         keys = l2_normalize(rng.standard_normal((3, 4)))
@@ -117,9 +115,9 @@ class TestSoftmaxContrastive:
             with pytest.raises(ValueError):
                 softmax_contrastive(queries, keys, [0, 1], tau)
             with pytest.raises(ValueError):
-                cluster_loss(queries, ClusterBank(centroids=keys, alpha=0.2), [0, 1], tau)
+                cluster_loss(queries, keys, [0, 1], tau)
             with pytest.raises(ValueError):
-                hard_instance_loss(queries, InstanceBank(slots=slots), [0, 1], tau)
+                hard_instance_loss(queries, slots, [0, 1], tau)
 
     def test_non_finite_logits_rejected(self):
         keys = np.array([[np.inf, 0.0], [0.0, 1.0]])
@@ -127,12 +125,12 @@ class TestSoftmaxContrastive:
         with pytest.raises(NumericError):
             softmax_contrastive(queries, keys, [0, 1], 0.1)
         with pytest.raises(NumericError):
-            cluster_loss(queries, ClusterBank(centroids=keys, alpha=0.2), [0, 1], 0.1)
+            cluster_loss(queries, keys, [0, 1], 0.1)
         slots = np.stack([keys, keys[::-1]])
         with pytest.raises(NumericError):
-            hard_instance_loss(queries, InstanceBank(slots=slots), [0, 1], 0.1)
+            hard_instance_loss(queries, slots, [0, 1], 0.1)
         nan_query = np.array([[np.nan, 0.0], [1.0, 0.0]])
-        finite = InstanceBank(slots=np.stack([np.eye(2), np.eye(2)]))
+        finite = np.stack([np.eye(2), np.eye(2)])
         with pytest.raises(NumericError):
             hard_instance_loss(nan_query, finite, [0, 1], 0.1)
 
@@ -140,10 +138,9 @@ class TestSoftmaxContrastive:
 class TestClusterLoss:
     def test_equals_contrastive_over_centroids(self, rng):
         cents = l2_normalize(rng.standard_normal((7, 5)))
-        bank = ClusterBank(centroids=cents, alpha=0.2)
         queries = random_batch(rng, 6, 5)
         ids = random_ids(rng, 7, 6)
-        out = cluster_loss(queries, bank, ids, tau_c=0.05)
+        out = cluster_loss(queries, cents, ids, tau_c=0.05)
         want = softmax_contrastive(queries, cents, ids, 0.05)
         assert np.array_equal(out.values, want.values)
         assert np.array_equal(out.grad, want.grad)
@@ -155,7 +152,7 @@ class TestClusterLoss:
             queries = random_batch(rng, b, d)
             ids = random_ids(rng, c, b)
             tau = float(rng.uniform(0.03, 1.0))
-            out = cluster_loss(queries, ClusterBank(centroids=cents, alpha=0.2), ids, tau)
+            out = cluster_loss(queries, cents, ids, tau)
             for r in range(b):
                 assert abs(out.values[r] - ref_softmax_loss(queries[r], cents, ids[r], tau)) <= 1e-12
                 ref = ref_softmax_grad(queries[r], cents, ids[r], tau)
@@ -163,19 +160,17 @@ class TestClusterLoss:
 
     def test_lower_when_query_sits_on_own_centroid(self, rng):
         cents = l2_normalize(rng.standard_normal((5, 6)))
-        bank = ClusterBank(centroids=cents, alpha=0.2)
-        out = cluster_loss(cents[[2, 3]], bank, [2, 2], 0.05)
+        out = cluster_loss(cents[[2, 3]], cents, [2, 2], 0.05)
         assert out.values[0] < out.values[1]
 
 
 class TestHardInstanceLoss:
     def test_uses_hard_keys(self, rng):
         slots = l2_normalize(rng.standard_normal((4, 6, 5)))
-        bank = InstanceBank(slots=slots)
         queries = random_batch(rng, 5, 5)
         own = np.array([1, 1, 3, 0, 1])
-        out = hard_instance_loss(queries, bank, own, tau_ins=0.07)
-        picks, sims = hard_keys(queries, bank, own)
+        out = hard_instance_loss(queries, slots, own, tau_ins=0.07)
+        picks, sims = hard_keys(queries, slots, own)
         for r in range(5):
             keys = slots[np.arange(4), picks[r]]
             want = -log_softmax(sims[r] / 0.07)[own[r]]
@@ -193,9 +188,8 @@ class TestHardInstanceLoss:
         s00, s01 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         s10 = np.array([-1.0, 0.0])
         s11 = np.array([0.6, 0.8])
-        bank = InstanceBank(slots=np.stack([np.stack([s00, s01]),
-                                            np.stack([s10, s11])]))
-        out = hard_instance_loss(q, bank, [0], tau_ins=1.0)
+        slots = np.stack([np.stack([s00, s01]), np.stack([s10, s11])])
+        out = hard_instance_loss(q, slots, [0], tau_ins=1.0)
         # keys are then [s01, s11]: value = -log softmax([0, 0.6])[0]
         logits = np.array([0.0, 0.6])
         want = -log_softmax(logits)[0]
@@ -210,7 +204,7 @@ class TestHardInstanceLoss:
             queries = random_batch(rng, b, d)
             own = random_ids(rng, c, b)
             tau = float(rng.uniform(0.03, 1.0))
-            out = hard_instance_loss(queries, InstanceBank(slots=slots), own, tau)
+            out = hard_instance_loss(queries, slots, own, tau)
             for r in range(b):
                 _, keys = ref_hard_keys(queries[r], slots, own[r])
                 assert abs(out.values[r] - ref_softmax_loss(queries[r], keys, own[r], tau)) <= 1e-12
@@ -223,12 +217,11 @@ class TestHardInstanceLoss:
         for _ in range(20):
             c, s, d = 4, 5, 4
             slots = l2_normalize(rng.standard_normal((c, s, d)))
-            bank = InstanceBank(slots=slots)
             queries = random_batch(rng, 3, d).copy()
             own = np.array([2, 0, 2])
-            out = hard_instance_loss(queries, bank, own, tau_ins=0.3)
+            out = hard_instance_loss(queries, slots, own, tau_ins=0.3)
             fd = fd_grad(
-                lambda: hard_instance_loss(queries, bank, own, 0.3).values.sum(),
+                lambda: hard_instance_loss(queries, slots, own, 0.3).values.sum(),
                 queries,
             )
             assert rel_err(out.grad, fd) < 1e-6
@@ -243,8 +236,8 @@ class TestHybridLoss:
         slots = l2_normalize(rng.standard_normal((c, 3, d)))
         queries = random_batch(rng, b, d)
         ids = random_ids(rng, c, b)
-        cls = cluster_loss(queries, ClusterBank(centroids=cents, alpha=0.2), ids, tau)
-        ins = hard_instance_loss(queries, InstanceBank(slots=slots), ids, tau)
+        cls = cluster_loss(queries, cents, ids, tau)
+        ins = hard_instance_loss(queries, slots, ids, tau)
         values = mu * cls.values + (1.0 - mu) * ins.values
         grad = mu * cls.grad + (1.0 - mu) * ins.grad
         for r in range(b):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hybridreid import (
-    InstanceBank,
     PseudoLabeling,
     init_cluster_bank,
     init_instance_bank,
@@ -24,129 +23,128 @@ def clustered_embeddings(rng, c=4, per=10, d=6):
 class TestClusterBankInit:
     def test_centroids_are_normalized_means(self, rng):
         emb, labels = clustered_embeddings(rng)
-        bank = init_cluster_bank(emb, labels, alpha=0.2)
+        centroids = init_cluster_bank(emb, labels)
+        assert centroids.shape == (labels.num_clusters, emb.shape[1])
         for i in range(labels.num_clusters):
             mean = emb[labels.members[i]].mean(axis=0)
-            assert np.allclose(bank.centroids[i], mean / np.linalg.norm(mean))
-        assert bank.alpha == 0.2
+            assert np.allclose(centroids[i], mean / np.linalg.norm(mean))
 
     def test_outliers_excluded(self, rng):
         emb, labels = clustered_embeddings(rng, c=2, per=5)
         assignment = labels.assignment.copy()
         assignment[0] = -1
         labels = PseudoLabeling(assignment=assignment, num_clusters=2)
-        bank = init_cluster_bank(emb, labels, alpha=0.2)
+        centroids = init_cluster_bank(emb, labels)
         mean = emb[1:5].mean(axis=0)
-        assert np.allclose(bank.centroids[0], mean / np.linalg.norm(mean))
+        assert np.allclose(centroids[0], mean / np.linalg.norm(mean))
 
     def test_empty_cluster_rejected(self, rng):
         emb = l2_normalize(rng.standard_normal((3, 4)))
         labels = PseudoLabeling(assignment=[0, 0, 0], num_clusters=2)
         with pytest.raises(ValueError):
-            init_cluster_bank(emb, labels, alpha=0.2)
+            init_cluster_bank(emb, labels)
 
     def test_degenerate_mean_rejected(self):
         emb = np.array([[1.0, 0.0], [-1.0, 0.0]])
         labels = PseudoLabeling(assignment=[0, 0], num_clusters=1)
         with pytest.raises(ValueError):
-            init_cluster_bank(emb, labels, alpha=0.2)
+            init_cluster_bank(emb, labels)
 
 
 class TestClusterBankUpdate:
     def test_momentum_formula(self, rng):
         emb, labels = clustered_embeddings(rng, c=3)
-        bank = init_cluster_bank(emb, labels, alpha=0.2)
-        before = bank.centroids.copy()
+        centroids = init_cluster_bank(emb, labels)
+        before = centroids.copy()
         batch = l2_normalize(rng.standard_normal((6, emb.shape[1])))
         batch_labels = np.array([0, 0, 2, 2, 2, 0])
-        update_cluster_bank(bank, batch, batch_labels)
+        update_cluster_bank(centroids, batch, batch_labels, 0.2)
         for i in (0, 2):
             cbar = batch[batch_labels == i].mean(axis=0)
             merged = 0.2 * before[i] + 0.8 * cbar
-            assert np.allclose(bank.centroids[i], merged / np.linalg.norm(merged))
+            assert np.allclose(centroids[i], merged / np.linalg.norm(merged))
 
     def test_absent_cluster_bitwise_unchanged(self, rng):
         emb, labels = clustered_embeddings(rng, c=3)
-        bank = init_cluster_bank(emb, labels, alpha=0.2)
-        row1 = bank.centroids[1].tobytes()
+        centroids = init_cluster_bank(emb, labels)
+        row1 = centroids[1].tobytes()
         batch = l2_normalize(rng.standard_normal((4, emb.shape[1])))
-        update_cluster_bank(bank, batch, np.array([0, 0, 2, 2]))
-        assert bank.centroids[1].tobytes() == row1
+        update_cluster_bank(centroids, batch, np.array([0, 0, 2, 2]), 0.2)
+        assert centroids[1].tobytes() == row1
 
     def test_alpha_one_is_exact_identity(self, rng):
         emb, labels = clustered_embeddings(rng, c=3)
-        bank = init_cluster_bank(emb, labels, alpha=1.0)
-        before = bank.centroids.tobytes()
+        centroids = init_cluster_bank(emb, labels)
+        before = centroids.tobytes()
         for _ in range(5):
             batch = l2_normalize(rng.standard_normal((6, emb.shape[1])))
-            update_cluster_bank(bank, batch, rng.integers(0, 3, size=6))
-        assert bank.centroids.tobytes() == before
+            update_cluster_bank(centroids, batch, rng.integers(0, 3, size=6), 1.0)
+        assert centroids.tobytes() == before
 
     def test_alpha_zero_replaces_with_batch_mean(self, rng):
         emb, labels = clustered_embeddings(rng, c=2)
-        bank = init_cluster_bank(emb, labels, alpha=0.0)
+        centroids = init_cluster_bank(emb, labels)
         batch = l2_normalize(rng.standard_normal((3, emb.shape[1])))
-        update_cluster_bank(bank, batch, np.array([1, 1, 1]))
+        update_cluster_bank(centroids, batch, np.array([1, 1, 1]), 0.0)
         cbar = batch.mean(axis=0)
-        assert np.allclose(bank.centroids[1], cbar / np.linalg.norm(cbar))
+        assert np.allclose(centroids[1], cbar / np.linalg.norm(cbar))
 
     def test_rows_stay_unit_norm(self, rng):
         emb, labels = clustered_embeddings(rng, c=4)
-        bank = init_cluster_bank(emb, labels, alpha=0.5)
+        centroids = init_cluster_bank(emb, labels)
         for _ in range(50):
             batch = l2_normalize(rng.standard_normal((8, emb.shape[1])))
-            update_cluster_bank(bank, batch, rng.integers(0, 4, size=8))
-        assert np.allclose(np.linalg.norm(bank.centroids, axis=1), 1.0, atol=1e-9)
+            update_cluster_bank(centroids, batch, rng.integers(0, 4, size=8), 0.5)
+        assert np.allclose(np.linalg.norm(centroids, axis=1), 1.0, atol=1e-9)
 
     def test_invalid_labels_rejected(self, rng):
         emb, labels = clustered_embeddings(rng, c=2)
-        bank = init_cluster_bank(emb, labels, alpha=0.2)
+        centroids = init_cluster_bank(emb, labels)
         batch = l2_normalize(rng.standard_normal((2, emb.shape[1])))
         with pytest.raises(ValueError):
-            update_cluster_bank(bank, batch, np.array([0, 2]))
+            update_cluster_bank(centroids, batch, np.array([0, 2]), 0.2)
         with pytest.raises(ValueError):
-            update_cluster_bank(bank, batch, np.array([-1, 0]))
+            update_cluster_bank(centroids, batch, np.array([-1, 0]), 0.2)
 
     def test_degenerate_update_warns_and_keeps_previous(self):
         emb = np.array([[1.0, 0.0], [1.0, 0.0]])
         labels = PseudoLabeling(assignment=[0, 0], num_clusters=1)
-        bank = init_cluster_bank(emb, labels, alpha=0.5)
-        before = bank.centroids.copy()
+        centroids = init_cluster_bank(emb, labels)
+        before = centroids.copy()
         # batch mean exactly cancels alpha*centroid + (1-alpha)*mean
         batch = np.array([[-1.0, 0.0]])
         with pytest.warns(RuntimeWarning):
-            update_cluster_bank(bank, batch, np.array([0]))
-        assert np.array_equal(bank.centroids, before)
+            update_cluster_bank(centroids, batch, np.array([0]), 0.5)
+        assert np.array_equal(centroids, before)
 
 
 class TestInstanceBankInit:
     def test_shape_and_membership(self, rng):
         emb, labels = clustered_embeddings(rng, c=3, per=8, d=5)
-        bank = init_instance_bank(emb, labels, slots=4, rng_seed=0)
-        assert bank.slots.shape == (3, 4, 5)
-        assert np.array_equal(bank.cursors, np.zeros(3, dtype=np.int64))
+        slots = init_instance_bank(emb, labels, slots=4, rng_seed=0)
+        assert slots.shape == (3, 4, 5)
         for i in range(3):
             members = emb[labels.members[i]]
             for s in range(4):
-                assert any(np.array_equal(bank.slots[i, s], m) for m in members)
+                assert any(np.array_equal(slots[i, s], m) for m in members)
 
     def test_without_replacement_when_enough_members(self, rng):
         emb, labels = clustered_embeddings(rng, c=2, per=6, d=4)
-        bank = init_instance_bank(emb, labels, slots=6, rng_seed=3)
+        slots = init_instance_bank(emb, labels, slots=6, rng_seed=3)
         for i in range(2):
-            rows = {bank.slots[i, s].tobytes() for s in range(6)}
+            rows = {slots[i, s].tobytes() for s in range(6)}
             assert len(rows) == 6
 
     def test_with_replacement_when_cluster_small(self, rng):
         emb, labels = clustered_embeddings(rng, c=2, per=3, d=4)
-        bank = init_instance_bank(emb, labels, slots=8, rng_seed=3)
-        assert bank.slots.shape == (2, 8, 4)
+        slots = init_instance_bank(emb, labels, slots=8, rng_seed=3)
+        assert slots.shape == (2, 8, 4)
 
     def test_seed_determinism(self, rng):
         emb, labels = clustered_embeddings(rng)
         a = init_instance_bank(emb, labels, slots=5, rng_seed=[7, 1])
         b = init_instance_bank(emb, labels, slots=5, rng_seed=[7, 1])
-        assert a.slots.tobytes() == b.slots.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_invalid_slots(self, rng):
         emb, labels = clustered_embeddings(rng)
@@ -157,44 +155,39 @@ class TestInstanceBankInit:
 class TestInstanceBankUpdate:
     def test_full_batch_replaces_in_order(self, rng):
         emb, labels = clustered_embeddings(rng, c=2, per=6, d=4)
-        bank = init_instance_bank(emb, labels, slots=3, rng_seed=0)
+        slots = init_instance_bank(emb, labels, slots=3, rng_seed=0)
         batch = l2_normalize(rng.standard_normal((6, 4)))
         batch_labels = np.array([0, 0, 0, 1, 1, 1])
-        update_instance_bank(bank, batch, batch_labels)
-        assert np.array_equal(bank.slots[0], batch[:3])
-        assert np.array_equal(bank.slots[1], batch[3:])
-        assert bank.cursors.tolist() == [0, 0]
+        update_instance_bank(slots, batch, batch_labels)
+        assert np.array_equal(slots[0], batch[:3])
+        assert np.array_equal(slots[1], batch[3:])
 
-    def test_round_robin_cursor(self, rng):
-        emb, labels = clustered_embeddings(rng, c=1, per=8, d=4)
-        bank = init_instance_bank(emb, labels, slots=4, rng_seed=0)
-        b1 = l2_normalize(rng.standard_normal((3, 4)))
-        update_instance_bank(bank, b1, np.zeros(3, dtype=int))
-        assert bank.cursors[0] == 3
-        assert np.array_equal(bank.slots[0, :3], b1)
-        b2 = l2_normalize(rng.standard_normal((3, 4)))
-        update_instance_bank(bank, b2, np.zeros(3, dtype=int))
-        # wraps: slot 3 <- b2[0], slots 0-1 <- b2[1:], slot 2 still b1[2]
-        assert bank.cursors[0] == 2
-        assert np.array_equal(bank.slots[0, 3], b2[0])
-        assert np.array_equal(bank.slots[0, 0], b2[1])
-        assert np.array_equal(bank.slots[0, 1], b2[2])
-        assert np.array_equal(bank.slots[0, 2], b1[2])
+    def test_more_rows_than_slots_keep_the_last_per_slot(self, rng):
+        # cluster 0 has 5 rows (k = 0..4) for 3 slots: slot p holds its last
+        # row k with k = p (mod 3); cluster 1's one row goes to its slot 0
+        # and its other slots keep their rows
+        emb, labels = clustered_embeddings(rng, c=2, per=6, d=4)
+        slots = init_instance_bank(emb, labels, slots=3, rng_seed=0)
+        kept = slots[1, 1:].tobytes()
+        batch = l2_normalize(rng.standard_normal((6, 4)))
+        update_instance_bank(slots, batch, np.array([0, 1, 0, 0, 0, 0]))
+        assert np.array_equal(slots[0], batch[[4, 5, 3]])
+        assert np.array_equal(slots[1, 0], batch[1])
+        assert slots[1, 1:].tobytes() == kept
 
     def test_absent_cluster_bitwise_unchanged(self, rng):
         emb, labels = clustered_embeddings(rng, c=3, per=6, d=4)
-        bank = init_instance_bank(emb, labels, slots=3, rng_seed=0)
-        before = bank.slots[1].tobytes()
+        slots = init_instance_bank(emb, labels, slots=3, rng_seed=0)
+        before = slots[1].tobytes()
         batch = l2_normalize(rng.standard_normal((4, 4)))
-        update_instance_bank(bank, batch, np.array([0, 0, 2, 2]))
-        assert bank.slots[1].tobytes() == before
-        assert bank.cursors[1] == 0
+        update_instance_bank(slots, batch, np.array([0, 0, 2, 2]))
+        assert slots[1].tobytes() == before
 
     def test_invalid_labels_rejected(self, rng):
         emb, labels = clustered_embeddings(rng, c=2, per=4, d=4)
-        bank = init_instance_bank(emb, labels, slots=2, rng_seed=0)
+        slots = init_instance_bank(emb, labels, slots=2, rng_seed=0)
         with pytest.raises(ValueError):
-            update_instance_bank(bank, np.ones((1, 4)), np.array([5]))
+            update_instance_bank(slots, np.ones((1, 4)), np.array([5]))
 
 
 class TestHardSelection:
@@ -204,7 +197,7 @@ class TestHardSelection:
             slots = l2_normalize(rng.standard_normal((c, s, d)))
             queries = l2_normalize(rng.standard_normal((b, d)))
             own = rng.integers(0, c, size=b)
-            picks, _ = hard_keys(queries, InstanceBank(slots=slots), own)
+            picks, _ = hard_keys(queries, slots, own)
             assert picks.shape == (b, c)
             for r in range(b):
                 assert picks[r, own[r]] == ref_hard_positive(queries[r], slots[own[r]])
@@ -221,12 +214,12 @@ class TestHardSelection:
         slots = np.concatenate([base, base], axis=1)
         queries = l2_normalize(rng.standard_normal((b, d)))
         own = np.array([0, 0, 1, 2, 3, 3])
-        picks, _ = hard_keys(queries, InstanceBank(slots=slots), own)
+        picks, _ = hard_keys(queries, slots, own)
         assert np.all(picks < 3)
         for r in range(b):
             assert picks[r].tolist() == ref_hard_keys(queries[r], slots, own[r])[0]
         v = np.array([[1.0, 0.0, 0.0]])
-        picks, _ = hard_keys(v, InstanceBank(slots=np.stack([np.stack([v[0]] * 3)] * 2)), [0])
+        picks, _ = hard_keys(v, np.stack([np.stack([v[0]] * 3)] * 2), [0])
         assert picks.tolist() == [[0, 0]]
 
     def test_hard_keys_combines_both_rules(self, rng):
@@ -234,7 +227,7 @@ class TestHardSelection:
         slots = l2_normalize(rng.standard_normal((c, s, d)))
         queries = l2_normalize(rng.standard_normal((b, d)))
         own = np.array([2, 2, 0, 5, 2, 1, 0])
-        picks, sims = hard_keys(queries, InstanceBank(slots=slots), own)
+        picks, sims = hard_keys(queries, slots, own)
         for r in range(b):
             want, keys = ref_hard_keys(queries[r], slots, own[r])
             assert picks[r].tolist() == want
@@ -244,20 +237,20 @@ class TestHardSelection:
 def test_thousand_randomized_updates_keep_invariants(rng):
     """Long-run stress: unit norms hold and untouched clusters never drift."""
     emb, labels = clustered_embeddings(rng, c=6, per=10, d=5)
-    cbank = init_cluster_bank(emb, labels, alpha=0.2)
-    ibank = init_instance_bank(emb, labels, slots=4, rng_seed=0)
+    centroids = init_cluster_bank(emb, labels)
+    slots = init_instance_bank(emb, labels, slots=4, rng_seed=0)
     frozen_cluster = 5
-    frozen_c = cbank.centroids[frozen_cluster].tobytes()
-    frozen_i = ibank.slots[frozen_cluster].tobytes()
+    frozen_c = centroids[frozen_cluster].tobytes()
+    frozen_i = slots[frozen_cluster].tobytes()
     for _ in range(1000):
         bsz = int(rng.integers(1, 9))
         batch = l2_normalize(rng.standard_normal((bsz, 5)))
         batch_labels = rng.integers(0, 5, size=bsz)  # never cluster 5
-        update_cluster_bank(cbank, batch, batch_labels)
-        update_instance_bank(ibank, batch, batch_labels)
-    assert np.allclose(np.linalg.norm(cbank.centroids, axis=1), 1.0, atol=1e-6)
+        update_cluster_bank(centroids, batch, batch_labels, 0.2)
+        update_instance_bank(slots, batch, batch_labels)
+    assert np.allclose(np.linalg.norm(centroids, axis=1), 1.0, atol=1e-6)
     assert np.allclose(
-        np.linalg.norm(ibank.slots.reshape(-1, 5), axis=1), 1.0, atol=1e-6
+        np.linalg.norm(slots.reshape(-1, 5), axis=1), 1.0, atol=1e-6
     )
-    assert cbank.centroids[frozen_cluster].tobytes() == frozen_c
-    assert ibank.slots[frozen_cluster].tobytes() == frozen_i
+    assert centroids[frozen_cluster].tobytes() == frozen_c
+    assert slots[frozen_cluster].tobytes() == frozen_i

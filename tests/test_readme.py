@@ -1,11 +1,13 @@
 """The README's examples: the Python API one executed as written, and the
-Quick start commands parsed by the CLI; and the constants it states."""
+Quick start commands parsed by the CLI; the constants it states; and the
+public names it lists."""
 
 import ast
 import re
 import shlex
 from pathlib import Path
 
+import hybridreid
 from hybridreid import cli, clustering, evaluation
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -47,3 +49,16 @@ def test_block_sizes_match_code():
     assert rows and queries
     assert {int(r) for r in rows} == {clustering.BLOCK_ROWS}
     assert {int(q) for q in queries} == {evaluation.SCREEN_BLOCK}
+
+
+def test_lower_level_names_resolve():
+    text = README.read_text()
+    paragraph = text.split("Lower-level pieces are importable", 1)[1].split("\n\n", 1)[0]
+    names = [n for n in re.findall(r"`([^`]+)`", paragraph)
+             if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", n)]
+    assert len(names) >= 10
+    for name in names:
+        obj = hybridreid
+        for part in name.removeprefix("hybridreid.").split("."):
+            assert hasattr(obj, part), f"README names {name}, which does not resolve"
+            obj = getattr(obj, part)

@@ -360,10 +360,42 @@ class TestEndToEnd:
             train(feats[:1], small_config())
 
 
+class TestBankTraffic:
+    @pytest.mark.parametrize("n_inst,slots", [(4, 4), (5, 3), (2, 3)])
+    def test_no_cluster_reaches_an_update_twice_per_epoch(self, monkeypatch,
+                                                          n_inst, slots):
+        """Banks are rebuilt every epoch and each cluster is in at most one
+        batch of it, so a bank update never needs state from an earlier
+        update: each cluster's rows are written from slot 0."""
+        seen = []  # per epoch: update name -> the cluster ids of each call
+
+        def start_epoch(*args, **kwargs):
+            seen.append({"update_cluster_bank": [], "update_instance_bank": []})
+            return pseudo_label(*args, **kwargs)
+
+        def recorder(name):
+            update = getattr(trainer, name)
+
+            def wrapped(bank, batch_emb, batch_labels, *rest):
+                seen[-1][name].extend(np.unique(batch_labels).tolist())
+                return update(bank, batch_emb, batch_labels, *rest)
+            return wrapped
+
+        monkeypatch.setattr(trainer, "pseudo_label", start_epoch)
+        for name in ("update_cluster_bank", "update_instance_bank"):
+            monkeypatch.setattr(trainer, name, recorder(name))
+        _, _, reports = train(train_features(num_identities=9), small_config(
+            epochs=3, instances_per_identity=n_inst, slots_per_cluster=slots))
+        assert len(reports) == len(seen) == 3
+        for epoch in seen:
+            for ids in epoch.values():
+                assert ids and len(ids) == len(set(ids))
+
+
 def epoch_state(sizes, n_id, n_inst, mu=0.5, seed=0):
     """(feats, batches, cfg, state) for one epoch over clusters of the given
     sizes, whose members are shuffled among the samples; ``state`` is the
-    (model, opt, cluster bank, instance bank) that batch steps change."""
+    (model, opt, centroids, slots) that batch steps change."""
     rng = np.random.default_rng(seed)
     assignment = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
     labels = PseudoLabeling(assignment, len(sizes))
@@ -375,7 +407,7 @@ def epoch_state(sizes, n_id, n_inst, mu=0.5, seed=0):
     state = (
         model,
         AdamState.for_model(model, cfg.lr, cfg.weight_decay),
-        init_cluster_bank(emb, labels, alpha=cfg.alpha),
+        init_cluster_bank(emb, labels),
         init_instance_bank(emb, labels, slots=cfg.slots_per_cluster,
                            rng_seed=[seed, 0, trainer.STREAM_INSTANCE_BANK]),
     )
@@ -387,10 +419,9 @@ def epoch_state(sizes, n_id, n_inst, mu=0.5, seed=0):
 def run_epoch(step, feats, batches, cfg, state):
     """Apply ``step`` to a copy of ``state`` batch by batch; returns the
     copy's arrays and the per-batch losses."""
-    model, opt, cbank, ibank = copy.deepcopy(state)
-    losses = [step(model, opt, feats, b, cbank, ibank, cfg) for b in batches]
-    arrays = [*model.parameters(), *opt.m, *opt.v, cbank.centroids, ibank.slots,
-              ibank.cursors]
+    model, opt, centroids, slots = copy.deepcopy(state)
+    losses = [step(model, opt, feats, b, centroids, slots, cfg) for b in batches]
+    arrays = [*model.parameters(), *opt.m, *opt.v, centroids, slots]
     return arrays, losses, opt.step_count
 
 
@@ -427,11 +458,9 @@ class TestBatchStep:
             got_losses = trainer._batch_step(got[0], got[1], feats, batch, *got[2:], cfg)
             want_losses = ref_batch_step(state[0], state[1], feats, batch, *state[2:], cfg)
             np.testing.assert_allclose(got_losses, want_losses, rtol=0, atol=1e-14)
-            (model, opt, cbank, ibank), (model_r, opt_r, cbank_r, ibank_r) = got, state
-            for a, b in zip([*opt.m, *opt.v, cbank.centroids, ibank.slots],
-                            [*opt_r.m, *opt_r.v, cbank_r.centroids, ibank_r.slots]):
+            (model, opt, *banks), (model_r, opt_r, *banks_r) = got, state
+            for a, b in zip([*opt.m, *opt.v, *banks], [*opt_r.m, *opt_r.v, *banks_r]):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
-            assert np.array_equal(ibank.cursors, ibank_r.cursors)
             assert opt.step_count == opt_r.step_count
             for p, p_r, m, m_r in zip(model.parameters(), model_r.parameters(),
                                       opt.m, opt_r.m):
