@@ -1,33 +1,37 @@
 """Pseudo-label generation: k-reciprocal neighbor sets, their Jaccard
 distance and a deterministic DBSCAN. Neighbors are ranked 64 rows at a
-time and the sets and Jaccard distances are CSR matrices, so the working
-set is a few 64 x N blocks plus O(N k) sets, never an N x N array."""
+time, the sets are CSR-style (indptr, indices) arrays and the Jaccard
+distances are (i, j, dist) pairs, so the working set is a few 64 x N blocks
+plus O(N k) sets and pairs, never an N x N array."""
 
 from __future__ import annotations
 
 from collections import deque
 
 import numpy as np
-from scipy import sparse
 
 from .core import OUTLIER, PseudoLabeling
 from .ranking import _pair_distances, _screen_tolerance
 
 # Rows ranked at once; labeling memory is a few BLOCK_ROWS x N arrays.
 BLOCK_ROWS = 64
+# Pair keys built at once in jaccard_distance, before they go to their slice.
+PAIR_BLOCK = 1 << 16
 
 
 def k_reciprocal_neighbors(emb: np.ndarray, k: int):
-    """Boolean CSR matrix of k-reciprocal neighbor sets of the rows of ``emb``.
+    """k-reciprocal neighbor sets of the rows of ``emb`` as CSR-style
+    ``(indptr, indices)`` arrays.
 
-    Row i holds ``R(i) = {j : j in kNN(i) and i in kNN(j)}`` in ascending
-    order, with kNN by Euclidean distance between unit-norm rows, excluding
-    the sample itself and with ties at the k-th distance broken by lower
-    index. One GEMM per BLOCK_ROWS rows gives u = 2 e_i.e_j - |e_j|^2, which
-    is -t for the t = |e_j|^2 - 2 e_i.e_j of ``hybridreid.ranking``, and the
-    k largest u are the k nearest unless the next u is within the ranking
-    tolerance of the k-th; only such rows compute per-pair distances, and
-    only for the columns inside that bound.
+    ``indices[indptr[i]:indptr[i + 1]]`` is
+    ``R(i) = {j : j in kNN(i) and i in kNN(j)}`` in ascending order, with
+    kNN by Euclidean distance between unit-norm rows, excluding the sample
+    itself and with ties at the k-th distance broken by lower index. One
+    GEMM per BLOCK_ROWS rows gives u = 2 e_i.e_j - |e_j|^2, which is -t for
+    the t = |e_j|^2 - 2 e_i.e_j of ``hybridreid.ranking``, and the k largest
+    u are the k nearest unless the next u is within the ranking tolerance of
+    the k-th; only such rows compute per-pair distances, and only for the
+    columns inside that bound.
     """
     emb = np.asarray(emb, dtype=np.float64)
     n = emb.shape[0]
@@ -66,58 +70,102 @@ def k_reciprocal_neighbors(emb: np.ndarray, k: int):
             picked[r[take], j[take]] = True
             near[tie] = np.nonzero(picked)[1].reshape(-1, k)
         knn[lo:lo + rows.size] = np.sort(near, axis=1)
-    knn = sparse.csr_array((np.ones(n * k, dtype=bool), knn.ravel(),
-                            np.arange(0, n * k + 1, k)), shape=(n, n))
-    return knn.multiply(knn.T)
+    # j is in R(i) iff the key i*n + j is both a kNN pair's and a transposed
+    # one's, so it appears twice among them once they are sorted
+    rows = np.arange(n)[:, None]
+    keys = np.concatenate(((rows * n + knn).ravel(), (knn * n + rows).ravel()))
+    keys.sort()
+    i, j = np.divmod(keys[1:][keys[1:] == keys[:-1]], n)
+    return np.searchsorted(i, np.arange(n + 1)), j
+
+
+def _shared_counts(indptr, indices):
+    """Keys ``i * n + j`` of the pairs i < j that share a set R*(m) =
+    R(m) + {m}, ascending, and the number of sets each pair shares. The
+    pairs inside each set are listed, sorted in place, and counted in runs."""
+    n = indptr.size - 1
+    sizes = np.diff(indptr) + 1
+    key_type = np.int32 if n * n < 2**31 else np.int64
+    keys = np.empty(int((sizes * (sizes - 1) // 2).sum()), dtype=key_type)
+    at = 0
+    for size in range(2, int(sizes.max(initial=1)) + 1):
+        owners = np.flatnonzero(sizes == size)
+        members = np.empty((owners.size, size), dtype=key_type)
+        members[:, 0] = owners
+        members[:, 1:] = indices[indptr[owners, None] + np.arange(size - 1)]
+        members.sort(axis=1)
+        a, b = np.triu_indices(size, 1)
+        # the keys of a few sets at a time, written into their slice
+        step = max(1, PAIR_BLOCK // a.size)
+        for lo in range(0, owners.size, step):
+            block = members[lo:lo + step]
+            out = keys[at:at + block.shape[0] * a.size].reshape(-1, a.size)
+            np.multiply(block[:, a], n, out=out)
+            out += block[:, b]
+            at += out.size
+    keys.sort()
+    # each run of one key is a pair; its length is the number of sets shared
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first  # freed before the run lengths, which set the peak
+    return keys[starts], np.diff(starts, append=keys.size)
 
 
 def jaccard_distance(neighbor_sets):
-    """Sparse Jaccard distances between neighbor sets.
+    """Jaccard distances between the sets R*(i) = R(i) + {i}.
 
-    ``neighbor_sets`` is a boolean (sparse or dense) matrix whose row i is
-    the set R(i); each set is treated as containing its own sample i
-    regardless of the stored diagonal. Entry (i, j) is
-    ``1 - |R(i) & R(j)| / |R(i) | R(j)|``, stored (zeros included) only for
-    pairs whose sets intersect; every absent pair is at distance 1.
+    ``neighbor_sets`` is ``(indptr, indices)`` as ``k_reciprocal_neighbors``
+    returns it: set R(i) is ``indices[indptr[i]:indptr[i + 1]]``, ascending
+    and without i, and the sets are symmetric (j in R(i) iff i in R(j)), so
+    ``|R*(i) & R*(j)|`` is the number of sets R*(m) that hold both i and j.
+
+    Returns ``(n, i, j, dist)``: each pair i < j whose sets intersect, once,
+    in ascending (i, j) order, at ``1 - |R*(i) & R*(j)| / |R*(i) | R*(j)|``
+    (zeros included); every absent pair is at distance 1.
     """
-    sets = sparse.csr_array(neighbor_sets, dtype=bool)
-    n = sets.shape[0]
-    sets = (sets + sparse.eye_array(n, dtype=bool, format="csr")).astype(np.int32)
-    sizes = sets.sum(axis=1, dtype=np.float64)  # small integers, so sums are exact
-    inter = sets @ sets.T
-    inter.sort_indices()
-    # the union |R(i)| + |R(j)| - |R(i) & R(j)|, then the distance, in place
-    dist = np.repeat(sizes, np.diff(inter.indptr))
-    dist += sizes[inter.indices]
-    dist -= inter.data
-    np.subtract(1.0, np.divide(inter.data, dist, out=dist), out=dist)
-    return sparse.csr_array((dist, inter.indices, inter.indptr), shape=(n, n))
+    indptr, indices = neighbor_sets
+    n = indptr.size - 1
+    sizes = np.diff(indptr) + 1
+    keys, inter = _shared_counts(indptr, indices)
+    i, j = np.divmod(keys, n)
+    return n, i, j, 1.0 - inter / (sizes[i] + sizes[j] - inter)
 
 
-def dbscan(dist, eps: float, min_pts: int) -> PseudoLabeling:
-    """DBSCAN on a precomputed, symmetric distance matrix.
+def dbscan(pairs, eps: float, min_pts: int) -> PseudoLabeling:
+    """DBSCAN on a precomputed, symmetric distance given as pairs.
 
-    ``dist`` is a sparse matrix whose absent entries lie beyond ``eps``
-    (its stored zeros are distances of 0). A point is core iff it
-    has at least ``min_pts`` neighbors within ``eps``, itself excluded.
-    Expansion scans samples in ascending index order and claims border
-    points for the first cluster that reaches them, so the result is
-    deterministic.
+    ``pairs`` is ``(n, i, j, dist)`` as ``jaccard_distance`` returns it:
+    integer arrays with 0 <= i < j < n, each pair once in ascending (i, j)
+    order, at distance ``dist`` (zeros included); every absent pair lies
+    beyond ``eps``. A point is core iff it has at least ``min_pts``
+    neighbors within ``eps``, itself excluded. Expansion scans samples in
+    ascending index order and claims border points for the first cluster
+    that reaches them, so the result is deterministic.
     """
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
-    if not sparse.issparse(dist):
-        raise TypeError("dbscan expects a sparse distance matrix")
-    dist = sparse.csr_array(dist)
-    n = dist.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(dist.indptr))
-    near = (dist.data <= eps) & (rows != dist.indices)  # the point itself excluded
-    rows, cols = rows[near], dist.indices[near]
-    core = (np.bincount(rows, minlength=n) >= min_pts).tolist()
-    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    cols = cols.tolist()
+    if not isinstance(pairs, tuple) or len(pairs) != 4:
+        raise TypeError("dbscan expects (n, i, j, dist) pairs")
+    n, i, j, dist = pairs[0], *map(np.asarray, pairs[1:])
+    if not (i.dtype.kind == j.dtype.kind == "i" and i.ndim == j.ndim == dist.ndim == 1
+            and i.size == j.size == dist.size):
+        raise ValueError("pairs i, j, dist must be 1-D of one length, i and j integers")
+    keys = i.astype(np.int64) * n + j
+    if i.size and (i.min() < 0 or j.max() >= n or np.any(i >= j)
+                   or np.any(keys[1:] <= keys[:-1])):
+        raise ValueError("pairs must have 0 <= i < j < n, each once, in ascending order")
+    # each pair within eps is a neighbor both ways; sorting the keys of both
+    # directions groups each point's neighbors, in ascending order
+    near = dist <= eps
+    edges = np.concatenate((keys[near], j[near].astype(np.int64) * n + i[near]))
+    edges.sort()
+    bounds = np.searchsorted(edges, np.arange(n + 1) * n)
+    core = (np.diff(bounds) >= min_pts).tolist()
+    bounds = bounds.tolist()
+    cols = (edges % n).tolist()
 
     assignment = [OUTLIER] * n
     cluster = 0

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import numpy.ma  # np.unique reads np.ma, which numpy imports lazily: load it here
 
 FEATURE_MAGIC = b"HHCL"
 FEATURE_VERSION = 1

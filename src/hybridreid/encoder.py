@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy imports it lazily: load it with this module
 
 from .core import (FileFormatError, NumericError, TrainConfig, _HEADER, _check_size,
                    _read_binary, _write_binary)

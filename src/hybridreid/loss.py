@@ -10,10 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .core import NumericError
 from .memory import _checked_ids, hard_keys
+
+# Bytes of picked slots gathered at once for the instance-loss gradient.
+GATHER_BYTES = 512 << 10
 
 
 @dataclass
@@ -66,16 +68,24 @@ def hard_instance_loss(batch, slots, own_clusters, tau_ins: float) -> LossOutput
 
     The positive is the own-cluster slot least similar to the row; every
     other cluster contributes its most similar slot as a negative. The
-    logits are the similarities ``hard_keys`` already computed, and the
-    gradient is one sparse (B x C*S) @ (C*S x D) product whose row b holds
-    p_bc at each picked slot, minus 1 at the positive.
+    logits are the similarities ``hard_keys`` already computed, and gradient
+    row b is ``(sum_c p_bc key_bc - key_positive) / tau_ins`` over its C
+    picked keys: a (1 x C) @ (C x D) product per row, batched over the keys
+    of a few rows gathered at a time.
     """
     picks, sims = hard_keys(batch, slots, own_clusters)
     own = np.asarray(own_clusters, dtype=np.int64)
     values, p = _softmax_rows(sims, own, tau_ins)
     p[np.arange(p.shape[0]), own] -= 1.0
     c, s, d = slots.shape
-    flat_slots = picks + s * np.arange(c)
-    weights = csr_array((p.ravel(), flat_slots.ravel(), np.arange(0, p.size + 1, c)),
-                        shape=(p.shape[0], c * s))
-    return LossOutput(values, weights @ slots.reshape(c * s, d) / tau_ins)
+    keys = slots.reshape(c * s, d)
+    picked = picks + s * np.arange(c)  # row of keys picked for each (b, c)
+    grad = np.empty((p.shape[0], d))
+    step = max(1, GATHER_BYTES // (c * d * 8))
+    for lo in range(0, p.shape[0], step):
+        # every index is in range, so clipping changes nothing; it is the fast mode
+        np.matmul(p[lo:lo + step, None, :],
+                  keys.take(picked[lo:lo + step], axis=0, mode="clip"),
+                  out=grad[lo:lo + step, None, :])
+    grad /= tau_ins
+    return LossOutput(values, grad)

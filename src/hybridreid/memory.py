@@ -7,6 +7,8 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import numpy.ma  # np.unique reads np.ma, which numpy imports lazily: load it here
+import numpy.random  # numpy imports it lazily: load it with this module
 
 from .core import PseudoLabeling
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy imports it lazily: load it with this module
 
 from .core import PseudoLabeling
 

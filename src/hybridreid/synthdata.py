@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy imports it lazily: load it with this module
 
 from .core import ConfigError, FeatureSet, _check_fields, l2_normalize
 

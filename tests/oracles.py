@@ -10,7 +10,6 @@ checks how the trainer combines them. ``random_slot_keys`` and
 """
 
 import numpy as np
-from scipy import sparse
 
 from hybridreid import (adam_step, cluster_loss, hard_instance_loss,
                         update_cluster_bank, update_instance_bank)
@@ -51,13 +50,13 @@ def ref_pairwise_euclidean(a, b):
                      for x in np.asarray(a, dtype=np.float64)]).reshape(len(a), len(b))
 
 
-def explicit_csr(dense):
-    """CSR matrix storing every entry of ``dense``, zeros included (a
-    conversion such as ``sparse.csr_array(dense)`` drops the zeros)."""
+def explicit_pairs(dense):
+    """The ``(n, i, j, dist)`` pairs ``dbscan`` takes, storing every pair
+    i < j of the symmetric ``dense`` matrix in ascending order, zero
+    distances included (so none is lost as an absent pair)."""
     dense = np.asarray(dense, dtype=np.float64)
-    n, m = dense.shape
-    return sparse.csr_array((dense.ravel(), np.tile(np.arange(m), n),
-                             np.arange(0, n * m + 1, m)), shape=(n, m))
+    i, j = np.triu_indices(dense.shape[0], 1)
+    return dense.shape[0], i, j, dense[i, j]
 
 
 def ref_knn_sets(dist, k):

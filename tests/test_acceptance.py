@@ -45,7 +45,7 @@ from hybridreid.trainer import embed_all
 from oracles import (
     canonical_partition,
     easiest_positive_keys,
-    explicit_csr,
+    explicit_pairs,
     fd_grad,
     random_slot_keys,
     ref_dbscan,
@@ -170,7 +170,7 @@ def test_criterion_2_oracle_equivalence(capsys):
         np.fill_diagonal(d, 0.0)
         eps = float(rng.uniform(0.3, 1.5))
         min_pts = int(rng.integers(2, 10))
-        got = dbscan(explicit_csr(d), eps, min_pts)
+        got = dbscan(explicit_pairs(d), eps, min_pts)
         ref_labels, ref_c = ref_dbscan(d, eps, min_pts)
         if got.num_clusters != ref_c:
             mismatches += 1

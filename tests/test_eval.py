@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -484,11 +485,54 @@ def test_peak_memory_below_one_dense_matrix(rng):
         assert peak < 4 * SCREEN_BLOCK * ng * 8, f"{name}: peak {peak / 2**20:.1f} MiB"
 
 
-def test_package_import_leaves_out_scipy_spatial():
-    """Ranking is numpy alone: importing the package loads no scipy.spatial
-    module (checked in a fresh interpreter, since the tests import it)."""
-    code = ("import sys, hybridreid; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+# Runs gen-data, train and evaluate through cli.main with every hybridreid
+# function that cli imports wrapped, recording the modules each call loads.
+CLI_MODULE_PROBE = """
+import inspect, json, sys
+import hybridreid.cli as cli
+
+late = {}
+
+def watch(name, f):
+    def wrapped(*args, **kwargs):
+        before = set(sys.modules)
+        try:
+            return f(*args, **kwargs)
+        finally:
+            late.setdefault(name, []).extend(sorted(set(sys.modules) - before))
+    return wrapped
+
+for name, f in list(vars(cli).items()):
+    if inspect.isfunction(f) and f.__module__.startswith("hybridreid.") \\
+            and f.__module__ != "hybridreid.cli":
+        setattr(cli, name, watch(name, f))
+d = sys.argv[1]
+for argv in (
+    ["gen-data", "--out-dir", d, "--num-identities", "4", "--instances-per-identity", "8",
+     "--dims", "8", "--seed", "11"],
+    ["train", "--features", d + "/train.feat", "--out-dir", d + "/run", "--epochs", "2",
+     "--num-identities-per-batch", "2", "--instances-per-identity", "4",
+     "--slots-per-cluster", "4", "--kreciprocal-k", "7"],
+    ["evaluate", "--query", d + "/query.feat", "--gallery", d + "/gallery.feat",
+     "--checkpoint", d + "/run/checkpoint.ckpt", "--out-dir", d + "/eval", "--per-query"],
+):
+    assert cli.main(argv) == 0, argv
+print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "late": late}))
+"""
+
+
+def test_cli_runs_load_no_scipy_and_import_nothing_inside_calls(tmp_path):
+    """The package is numpy alone, and every module a command needs loads
+    before its timed work: ``train`` and ``evaluate`` processes import no
+    scipy module, and no hybridreid function that ``cli`` calls, such as
+    ``train`` or ``evaluate_retrieval``, imports a module on first use (as
+    numpy does lazily for ``numpy.random`` and ``numpy.ma``). Checked in a
+    fresh interpreter, since the tests import scipy."""
+    proc = subprocess.run([sys.executable, "-c", CLI_MODULE_PROBE, str(tmp_path)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["scipy"] == []
+    assert {"train", "evaluate_retrieval", "embed_all"} <= set(seen["late"])
+    assert {name: mods for name, mods in seen["late"].items() if mods} == {}
