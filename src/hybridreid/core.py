@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import numpy.ma  # np.unique reads np.ma, which numpy imports lazily: load it here
 
 FEATURE_MAGIC = b"HHCL"
 FEATURE_VERSION = 1
@@ -112,12 +111,10 @@ class PseudoLabeling:
         bad = (a != OUTLIER) & ((a < 0) | (a >= self.num_clusters))
         if np.any(bad):
             raise ValueError(f"assignment values out of range at {np.flatnonzero(bad)}")
-        present = np.unique(a[a != OUTLIER])
-        if present.size != self.num_clusters:
-            missing = sorted(set(range(self.num_clusters)) - set(present.tolist()))
-            raise ValueError(f"empty cluster ids: {missing}")
-        if present.size == 0 and self.num_clusters != 0:
-            raise ValueError("num_clusters > 0 but every sample is an outlier")
+        counts = np.bincount(a[a != OUTLIER], minlength=self.num_clusters)
+        missing = np.flatnonzero(counts == 0)
+        if missing.size:
+            raise ValueError(f"empty cluster ids: {missing.tolist()}")
 
 
 @contextlib.contextmanager

@@ -7,7 +7,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import numpy.ma  # np.unique reads np.ma, which numpy imports lazily: load it here
 import numpy.random  # numpy imports it lazily: load it with this module
 
 from .core import PseudoLabeling
@@ -16,6 +15,12 @@ from .core import PseudoLabeling
 # of two antipodal unit vectors).
 DEGENERATE_NORM = 1e-12
 
+# Bytes of batch-by-slot similarities hard_keys scores at once. The block
+# width can change the GEMM's rounding: at 256 KiB the benchmark workloads'
+# similarities are bit-equal to one product over all clusters, at 512 KiB
+# some moved by an ulp.
+SCORE_BYTES = 256 << 10
+
 
 def _checked_ids(ids, num: int) -> np.ndarray:
     """``ids`` as int64; ValueError unless every id is in [0, num), because
@@ -23,7 +28,7 @@ def _checked_ids(ids, num: int) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
     bad = (ids < 0) | (ids >= num)
     if np.any(bad):
-        raise ValueError(f"ids outside [0, {num}): {np.unique(ids[bad])}")
+        raise ValueError(f"ids outside [0, {num}): {sorted(set(ids[bad].tolist()))}")
     return ids
 
 
@@ -53,7 +58,7 @@ def update_cluster_bank(centroids, batch_emb, batch_labels, alpha: float):
     batch_labels = _checked_ids(batch_labels, centroids.shape[0])
     if alpha == 1.0:
         return
-    for i in np.unique(batch_labels):
+    for i in np.flatnonzero(np.bincount(batch_labels)):
         cbar = batch_emb[batch_labels == i].mean(axis=0)
         merged = alpha * centroids[i] + (1.0 - alpha) * cbar
         norm = np.linalg.norm(merged)
@@ -96,7 +101,7 @@ def update_instance_bank(slots, batch_emb, batch_labels):
     batch_emb = np.asarray(batch_emb, dtype=np.float64)
     batch_labels = _checked_ids(batch_labels, slots.shape[0])
     s = slots.shape[1]
-    for i in np.unique(batch_labels):
+    for i in np.flatnonzero(np.bincount(batch_labels)):
         rows = np.flatnonzero(batch_labels == i)
         slots[i, np.arange(rows.size)[-s:] % s] = batch_emb[rows[-s:]]
 
@@ -106,14 +111,34 @@ def hard_keys(batch, slots, own_clusters):
     (least similar slot) in the row's own cluster, the hard negative (most
     similar slot) in every other cluster; ties go to the lowest slot.
 
-    Returns (B x C slot indices, B x C similarities of the picked slots),
-    from one B x (C*S) product against the flattened C x S x D slots.
+    Returns (B x C slot indices, B x C similarities of the picked slots).
+    The C x S x D slots are scored a block of clusters at a time, as many
+    as fit SCORE_BYTES of similarities (at least one), in one buffer that
+    every block reuses: the call never holds the B x (C*S) product.
     """
     batch = np.asarray(batch, dtype=np.float64)
     c, s, d = slots.shape
     own_clusters = _checked_ids(own_clusters, c)
-    sims = (batch @ slots.reshape(c * s, d).T).reshape(-1, c, s)
-    picks = np.argmax(sims, axis=2)
-    rows = np.arange(sims.shape[0])
-    picks[rows, own_clusters] = np.argmin(sims[rows, own_clusters], axis=1)
-    return picks, np.take_along_axis(sims, picks[:, :, None], axis=2)[:, :, 0]
+    b = batch.shape[0]
+    keys = slots.reshape(c * s, d)
+    picks = np.empty((b, c), dtype=np.int64)
+    sims = np.empty((b, c))
+    step = max(1, SCORE_BYTES // (b * s * 8 or 1))
+    # one buffer for all blocks: glibc may map, and fault in, a fresh one per block
+    buf = np.empty(b * min(step, c) * s)
+    # by_own[edges[i]:edges[i + 1]] are the rows whose own cluster is in block i
+    by_own = np.argsort(own_clusters, kind="stable")
+    edges = np.searchsorted(own_clusters[by_own], np.arange(0, c + step, step))
+    for i, lo in enumerate(range(0, c, step)):
+        hi = min(lo + step, c)
+        flat = buf[:b * (hi - lo) * s].reshape(b, (hi - lo) * s)
+        np.matmul(batch, keys[lo * s:hi * s].T, out=flat)
+        block = flat.reshape(b, hi - lo, s)
+        picked = np.argmax(block, axis=2)
+        rows = by_own[edges[i]:edges[i + 1]]
+        own = own_clusters[rows] - lo
+        picked[rows, own] = np.argmin(block[rows, own], axis=1)
+        picks[:, lo:hi] = picked
+        picked += np.arange(0, picked.size * s, s).reshape(picked.shape)  # offsets in buf
+        sims[:, lo:hi] = buf.take(picked)
+    return picks, sims

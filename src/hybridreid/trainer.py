@@ -9,7 +9,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.ma  # np.unique reads np.ma, which numpy imports lazily: load it here
 
 from .clustering import pseudo_label
 from .core import ClusteringCollapseError, TrainConfig, validate_config

@@ -4,9 +4,11 @@ Everything here is written in the most direct way possible (explicit
 loops, python sets, quadratic scans) and shares no code with the library
 so the two can actually disagree. The one exception is ``ref_batch_step``,
 which runs the library's stages on every drawn row of a batch, so that it
-checks how the trainer combines them. ``random_slot_keys`` and
-``easiest_positive_keys`` are not oracles but other key rules, which
-``hard_keys`` must beat in training.
+checks how the trainer combines them. ``one_product_hard_keys`` is the
+unblocked form of ``hard_keys``: the blocked one must reproduce its picks,
+and its similarities bit for bit on exact inputs and to 1e-12 otherwise.
+``random_slot_keys`` and ``easiest_positive_keys`` are not oracles but
+other key rules, which ``hard_keys`` must beat in training.
 """
 
 import numpy as np
@@ -183,6 +185,19 @@ def ref_hard_keys(query, slots, own):
         for c in range(len(slots))
     ]
     return picks, np.stack([slots[c][p] for c, p in enumerate(picks)])
+
+
+def one_product_hard_keys(batch, slots, own_clusters):
+    """``hard_keys`` from one B x (C*S) product against all the flattened
+    slots: the form it had before it scored a block of clusters at a time."""
+    batch = np.asarray(batch, dtype=np.float64)
+    c, s, d = slots.shape
+    own_clusters = np.asarray(own_clusters, dtype=np.int64)
+    sims = (batch @ slots.reshape(c * s, d).T).reshape(-1, c, s)
+    picks = np.argmax(sims, axis=2)
+    rows = np.arange(sims.shape[0])
+    picks[rows, own_clusters] = np.argmin(sims[rows, own_clusters], axis=1)
+    return picks, _picked(sims, picks)
 
 
 def _picked(sims, picks):

@@ -518,21 +518,23 @@ for argv in (
 ):
     assert cli.main(argv) == 0, argv
 print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-                  "late": late}))
+                  "numpy.ma": "numpy.ma" in sys.modules, "late": late}))
 """
 
 
 def test_cli_runs_load_no_scipy_and_import_nothing_inside_calls(tmp_path):
     """The package is numpy alone, and every module a command needs loads
-    before its timed work: ``train`` and ``evaluate`` processes import no
-    scipy module, and no hybridreid function that ``cli`` calls, such as
-    ``train`` or ``evaluate_retrieval``, imports a module on first use (as
-    numpy does lazily for ``numpy.random`` and ``numpy.ma``). Checked in a
+    before its timed work: ``gen-data``, ``train`` and ``evaluate`` import
+    no scipy module and never load ``numpy.ma`` (plain ``np.unique`` would,
+    through ``np.ma.is_masked``), and no hybridreid function that ``cli``
+    calls, such as ``train`` or ``evaluate_retrieval``, imports a module on
+    first use (as numpy does lazily for ``numpy.random``). Checked in a
     fresh interpreter, since the tests import scipy."""
     proc = subprocess.run([sys.executable, "-c", CLI_MODULE_PROBE, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["scipy"] == []
+    assert seen["numpy.ma"] is False
     assert {"train", "evaluate_retrieval", "embed_all"} <= set(seen["late"])
     assert {name: mods for name, mods in seen["late"].items() if mods} == {}

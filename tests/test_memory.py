@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridreid import (
     PseudoLabeling,
@@ -9,9 +13,11 @@ from hybridreid import (
     update_cluster_bank,
     update_instance_bank,
 )
+from hybridreid import memory
 from hybridreid.memory import hard_keys
 
-from oracles import ref_hard_keys, ref_hard_negative, ref_hard_positive
+from oracles import (one_product_hard_keys, ref_hard_keys, ref_hard_negative,
+                     ref_hard_positive)
 
 
 def clustered_embeddings(rng, c=4, per=10, d=6):
@@ -232,6 +238,70 @@ class TestHardSelection:
             want, keys = ref_hard_keys(queries[r], slots, own[r])
             assert picks[r].tolist() == want
             assert np.abs(sims[r] - keys @ queries[r]).max() <= 1e-12
+
+
+@st.composite
+def blocked_cases(draw):
+    """A batch, slots and own clusters for ``hard_keys``, and a number of
+    clusters per block. In half the cases every value is a small integer,
+    so every dot product is exact, and the slots repeat three vectors, so
+    ties are common; in the others they are real-valued unit rows. The
+    first rows' own clusters sit at block edges: cluster 0, the last of the
+    first block, the first of the second, and C - 1, which is in a ragged
+    last block when the block width does not divide C."""
+    b = draw(st.integers(1, 24), label="B")
+    c = draw(st.integers(1, 12), label="C")
+    s = draw(st.integers(1, 6), label="S")
+    d = draw(st.integers(1, 16), label="D")
+    per_block = draw(st.just(1) | st.integers(1, c), label="per_block")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    exact = draw(st.booleans(), label="exact")
+    if exact:
+        pool = rng.integers(-2, 3, size=(3, d)).astype(float)
+        slots = pool[rng.integers(0, 3, size=(c, s))]
+        batch = rng.integers(-2, 3, size=(b, d)).astype(float)
+    else:
+        slots = l2_normalize(rng.standard_normal((c * s, d))).reshape(c, s, d)
+        batch = l2_normalize(rng.standard_normal((b, d)))
+    own = rng.integers(0, c, size=b)
+    edges = [e for e in (0, per_block - 1, per_block, c - 1) if e < c][:b]
+    own[:len(edges)] = edges
+    return batch, slots, own, per_block, exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=blocked_cases())
+def test_blocks_reproduce_one_product(case):
+    """Any block width, from one cluster per block up, picks the same slots
+    as one product over all clusters. The similarities are the same bits
+    when every product is exact; on real values a narrow block (a one-row
+    or one-column product) may round differently from the full GEMM, by
+    far less than the 1e-12 allowed here."""
+    batch, slots, own, per_block, exact = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(memory, "SCORE_BYTES", per_block * batch.shape[0] * slots.shape[1] * 8)
+        picks, sims = hard_keys(batch, slots, own)
+    want_picks, want_sims = one_product_hard_keys(batch, slots, own)
+    assert np.array_equal(picks, want_picks)
+    if exact:
+        assert np.array_equal(sims, want_sims)
+    assert np.abs(sims - want_sims).max() <= 1e-12
+
+
+def test_hard_keys_peak_is_a_block_not_the_product(rng):
+    """At B=256, C=1000, S=16, D=64 one B x (C*S) product would be 31.25 MiB;
+    the tracemalloc peak stays within 1 MiB of the 3.9 MiB of B x C outputs."""
+    b, c, s, d = 256, 1000, 16, 64
+    slots = l2_normalize(rng.standard_normal((c * s, d))).reshape(c, s, d)
+    batch = l2_normalize(rng.standard_normal((b, d)))
+    own = rng.integers(0, c, size=b)
+    tracemalloc.start()
+    try:
+        hard_keys(batch, slots, own)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * b * c * 8 + 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_thousand_randomized_updates_keep_invariants(rng):

@@ -8,7 +8,7 @@ import shlex
 from pathlib import Path
 
 import hybridreid
-from hybridreid import cli, clustering, evaluation
+from hybridreid import cli, clustering, evaluation, memory
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,9 +46,11 @@ def test_block_sizes_match_code():
     text = README.read_text()
     rows = re.findall(r"(\d+)\s+rows\s+at\s+a\s+time", text)
     queries = re.findall(r"per\s+(\d+)-query\s+block", text)
-    assert rows and queries
+    scores = re.findall(r"(\d+)\s+KiB\s+of\s+similarities", text)
+    assert rows and queries and scores
     assert {int(r) for r in rows} == {clustering.BLOCK_ROWS}
     assert {int(q) for q in queries} == {evaluation.SCREEN_BLOCK}
+    assert {int(k) << 10 for k in scores} == {memory.SCORE_BYTES}
 
 
 def test_lower_level_names_resolve():
