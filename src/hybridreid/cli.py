@@ -52,24 +52,17 @@ METRICS_HEADER = ["epoch", "C", "outliers", "loss", "loss_cls", "loss_ins", "sec
 ABLATE_METRICS = ("mAP", "rank1", "rank5", "rank10")
 ABLATE_HEADER = ["mu", "seed", "trained_epochs", *ABLATE_METRICS]
 
-def _limit_blas_threads(n: int) -> bool:
-    """Cap BLAS at ``n`` threads; False when threadpoolctl is not installed."""
-    try:
-        import threadpoolctl
-    except ImportError:
-        return False
-    threadpoolctl.threadpool_limits(limits=n)
-    return True
-
-
 def _pin_blas_for_determinism() -> dict:
     """Pin BLAS to one thread (a GEMM's summation split may depend on the
     thread count), warning if it cannot; returns the manifest entry."""
-    pinned = _limit_blas_threads(1)
-    if not pinned:
+    try:
+        import threadpoolctl
+    except ImportError:
         print("warning: threadpoolctl is not installed, so BLAS threads are not pinned; "
               "--deterministic results may depend on the thread count", file=sys.stderr)
-    return {"blas_threads_pinned": pinned}
+        return {"blas_threads_pinned": False}
+    threadpoolctl.threadpool_limits(limits=1)
+    return {"blas_threads_pinned": True}
 
 
 def _write_csv(path, header, rows):
@@ -269,18 +262,6 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _ablate_run(payload):
-    """One (mu, seed) cell's metrics and the number of epochs it trained;
-    module-level so process pools can pickle it."""
-    features_path, query_path, gallery_path, cfg, deterministic = payload
-    if deterministic:
-        _limit_blas_threads(1)
-    model, _, reports = train(load_features(features_path).features, cfg)
-    result = _evaluate_sets(load_features(query_path),
-                            load_features(gallery_path), model=model)
-    return result.metrics(), len(reports)
-
-
 def cmd_ablate(args) -> int:
     cfg = _merge_config(args)
     for flag, values in (("--mu-values", args.mu_values), ("--seeds", args.seeds)):
@@ -290,10 +271,6 @@ def cmd_ablate(args) -> int:
              for mu in args.mu_values for seed in args.seeds]
     for cell in cells:
         validate_config(cell)
-    threads = os.environ.get("HHCL_THREADS", "1")
-    if not (threads.isdecimal() and int(threads) >= 1):
-        raise ConfigError(f"HHCL_THREADS must be an integer >= 1, got {threads!r}")
-    workers = int(threads)
     pinning = _pin_blas_for_determinism() if args.deterministic else {}
     out_dir = Path(args.out_dir)
     summary_path = out_dir / "summary.csv"
@@ -303,16 +280,13 @@ def cmd_ablate(args) -> int:
                    inputs={"features": args.features, "query": args.query,
                            "gallery": args.gallery},
                    outputs=[summary_path], extra=pinning)
-    validate_config(cfg, num_samples=load_features(args.features).ids.size)
-    payloads = [(args.features, args.query, args.gallery, cell, args.deterministic)
-                for cell in cells]
-    if workers > 1 and len(payloads) > 1:
-        # imported here: the process pool's modules cost every other command
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_ablate_run, payloads))
-    else:
-        results = [_ablate_run(p) for p in payloads]
+    features = load_features(args.features)
+    validate_config(cfg, num_samples=features.ids.size)
+    query, gallery = load_features(args.query), load_features(args.gallery)
+    results = []
+    for cell in cells:
+        model, _, reports = train(features.features, cell)
+        results.append((_evaluate_sets(query, gallery, model=model).metrics(), len(reports)))
     _write_csv(summary_path, ABLATE_HEADER, (
         [f"{cell.mu:.10g}", cell.seed, epochs,
          *(f"{metrics[k]:.10g}" for k in ABLATE_METRICS)]

@@ -2,11 +2,13 @@
 distance and a deterministic DBSCAN. Neighbors are ranked 64 rows at a
 time, the sets are CSR-style (indptr, indices) arrays and the Jaccard
 distances are (i, j, dist) pairs, so the working set is a few 64 x N blocks
-plus O(N k) sets and pairs, never an N x N array."""
+plus O(N k) sets and pairs, never an N x N array. DBSCAN's clusters are
+the connected components of the core points joined within eps, numbered
+by their smallest core and found by array passes (min-label hooking and
+pointer jumping); a border point joins the lowest-numbered cluster among
+its core neighbors."""
 
 from __future__ import annotations
-
-from collections import deque
 
 import numpy as np
 
@@ -135,13 +137,16 @@ def jaccard_distance(neighbor_sets):
 def dbscan(pairs, eps: float, min_pts: int) -> PseudoLabeling:
     """DBSCAN on a precomputed, symmetric distance given as pairs.
 
-    ``pairs`` is ``(n, i, j, dist)`` as ``jaccard_distance`` returns it:
-    integer arrays with 0 <= i < j < n, each pair once in ascending (i, j)
-    order, at distance ``dist`` (zeros included); every absent pair lies
-    beyond ``eps``. A point is core iff it has at least ``min_pts``
-    neighbors within ``eps``, itself excluded. Expansion scans samples in
-    ascending index order and claims border points for the first cluster
-    that reaches them, so the result is deterministic.
+    ``pairs`` is ``(n, i, j, dist)`` as ``jaccard_distance`` returns it: an
+    integer n >= 0 and integer arrays with 0 <= i < j < n, each pair once
+    in ascending (i, j) order, at distance ``dist`` (zeros included); every
+    absent pair lies beyond ``eps``. A point is core iff it has at least
+    ``min_pts`` neighbors within ``eps``, itself excluded. The clusters are
+    the connected components of the cores joined within ``eps``, numbered
+    by their smallest core; a border point (not core, within ``eps`` of a
+    core) joins the lowest-numbered cluster among its core neighbors, and
+    every other point is an outlier. That is the labeling of an expansion
+    that scans samples in ascending index order.
     """
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
@@ -150,6 +155,8 @@ def dbscan(pairs, eps: float, min_pts: int) -> PseudoLabeling:
     if not isinstance(pairs, tuple) or len(pairs) != 4:
         raise TypeError("dbscan expects (n, i, j, dist) pairs")
     n, i, j, dist = pairs[0], *map(np.asarray, pairs[1:])
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"pairs n must be an integer >= 0, got {n!r}")
     if not (i.dtype.kind == j.dtype.kind == "i" and i.ndim == j.ndim == dist.ndim == 1
             and i.size == j.size == dist.size):
         raise ValueError("pairs i, j, dist must be 1-D of one length, i and j integers")
@@ -157,33 +164,37 @@ def dbscan(pairs, eps: float, min_pts: int) -> PseudoLabeling:
     if i.size and (i.min() < 0 or j.max() >= n or np.any(i >= j)
                    or np.any(keys[1:] <= keys[:-1])):
         raise ValueError("pairs must have 0 <= i < j < n, each once, in ascending order")
-    # each pair within eps is a neighbor both ways; sorting the keys of both
-    # directions groups each point's neighbors, in ascending order
+    del keys  # the largest array here: freed before the labeling's own
+    # the two ends of each pair within eps are neighbors of each other
     near = dist <= eps
-    edges = np.concatenate((keys[near], j[near].astype(np.int64) * n + i[near]))
-    edges.sort()
-    bounds = np.searchsorted(edges, np.arange(n + 1) * n)
-    core = (np.diff(bounds) >= min_pts).tolist()
-    bounds = bounds.tolist()
-    cols = (edges % n).tolist()
-
-    assignment = [OUTLIER] * n
-    cluster = 0
-    for start in range(n):
-        if assignment[start] != OUTLIER or not core[start]:
-            continue
-        assignment[start] = cluster
-        queue = deque([start])
-        while queue:
-            p = queue.popleft()
-            for q in cols[bounds[p]:bounds[p + 1]]:
-                if assignment[q] != OUTLIER:
-                    continue
-                assignment[q] = cluster
-                if core[q]:
-                    queue.append(q)
-        cluster += 1
-    labeling = PseudoLabeling(assignment=np.asarray(assignment), num_clusters=cluster)
+    a, b = i[near], j[near]
+    core = np.bincount(a, minlength=n) + np.bincount(b, minlength=n) >= min_pts
+    # the clusters are the components of the cores joined within eps: each
+    # root hooks to the smallest root across an edge, then pointers jump to
+    # the roots, until no edge joins two roots; every hook lowers a root,
+    # so a component's root ends at its smallest core
+    link = core[a] & core[b]
+    u, v = a[link], b[link]
+    root = np.arange(n)
+    while True:
+        ru, rv = root[u], root[v]
+        cross = ru != rv
+        if not cross.any():
+            break
+        # an edge inside one tree stays inside it: only crossing ones remain
+        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        jumped = root[root]
+        while not np.array_equal(jumped, root):
+            root, jumped = jumped, jumped[jumped]
+    # a border point joins the cluster of its smallest-rooted core neighbor
+    owner = np.where(core, root, n)
+    for x, y in ((a, b), (b, a)):
+        link = core[x] & ~core[y]
+        np.minimum.at(owner, y[link], root[x[link]])
+    is_root = core & (root == np.arange(n))
+    ids = np.append(np.cumsum(is_root) - 1, OUTLIER)
+    labeling = PseudoLabeling(assignment=ids[owner], num_clusters=int(is_root.sum()))
     labeling.validate()
     return labeling
 

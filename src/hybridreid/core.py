@@ -333,15 +333,15 @@ _CONFIG_RULES = (
 def _max_clusters(num_samples: int, min_pts: int) -> int:
     """The most clusters ``dbscan`` can form over ``num_samples`` points.
 
-    Pick one core per cluster. Cores of two clusters are never within eps
-    of each other (the first to expand would claim the other), so each
-    picked core has at least ``min_pts`` neighbors among the other
-    N - C points. Such a neighbor is within eps of at most one picked core
-    if it is a core itself, and of at most min_pts - 1 if it is not. With
-    r = max(1, min_pts - 1), min_pts C <= r (N - C), so
+    Pick one core per cluster. A cluster is a whole component of the
+    cores joined within eps, so cores of two clusters are never within eps
+    of each other, and each picked core has at least ``min_pts`` neighbors
+    among the other N - C points. Such a neighbor is within eps of at most
+    one picked core if it is a core itself, and of at most min_pts - 1 if
+    it is not. With r = max(1, min_pts - 1), min_pts C <= r (N - C), so
     C <= r N / (min_pts + r). That is N / (min_pts + 1) for min_pts <= 2;
     above that a cluster can be smaller than min_pts + 1 points, as a core
-    whose neighbors all border earlier clusters forms one of its own.
+    whose neighbors all border lower-numbered clusters forms one of its own.
     """
     r = max(1, min_pts - 1)
     return num_samples * r // (min_pts + r)

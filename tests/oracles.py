@@ -7,13 +7,17 @@ which runs the library's stages on every drawn row of a batch, so that it
 checks how the trainer combines them. ``one_product_hard_keys`` is the
 unblocked form of ``hard_keys``: the blocked one must reproduce its picks,
 and its similarities bit for bit on exact inputs and to 1e-12 otherwise.
+``scan_order_dbscan`` is the breadth-first form of ``dbscan``, whose
+component labeling must reproduce its labels and numbering exactly.
 ``random_slot_keys`` and ``easiest_positive_keys`` are not oracles but
 other key rules, which ``hard_keys`` must beat in training.
 """
 
+from collections import deque
+
 import numpy as np
 
-from hybridreid import (adam_step, cluster_loss, hard_instance_loss,
+from hybridreid import (OUTLIER, adam_step, cluster_loss, hard_instance_loss,
                         update_cluster_bank, update_instance_bank)
 
 
@@ -59,6 +63,42 @@ def explicit_pairs(dense):
     dense = np.asarray(dense, dtype=np.float64)
     i, j = np.triu_indices(dense.shape[0], 1)
     return dense.shape[0], i, j, dense[i, j]
+
+
+def scan_order_dbscan(pairs, eps, min_pts):
+    """``dbscan`` as it was before it became a component labeling:
+    expansion scans samples in ascending index order and claims border
+    points for the first cluster that reaches them. Takes well-formed
+    ``(n, i, j, dist)`` pairs; returns ``(assignment, num_clusters)``."""
+    n, i, j, dist = pairs
+    keys = i.astype(np.int64) * n + j
+    # each pair within eps is a neighbor both ways; sorting the keys of both
+    # directions groups each point's neighbors, in ascending order
+    near = dist <= eps
+    edges = np.concatenate((keys[near], j[near].astype(np.int64) * n + i[near]))
+    edges.sort()
+    bounds = np.searchsorted(edges, np.arange(n + 1) * n)
+    core = (np.diff(bounds) >= min_pts).tolist()
+    bounds = bounds.tolist()
+    cols = (edges % n).tolist()
+
+    assignment = [OUTLIER] * n
+    cluster = 0
+    for start in range(n):
+        if assignment[start] != OUTLIER or not core[start]:
+            continue
+        assignment[start] = cluster
+        queue = deque([start])
+        while queue:
+            p = queue.popleft()
+            for q in cols[bounds[p]:bounds[p + 1]]:
+                if assignment[q] != OUTLIER:
+                    continue
+                assignment[q] = cluster
+                if core[q]:
+                    queue.append(q)
+        cluster += 1
+    return np.asarray(assignment, dtype=np.int64), cluster
 
 
 def ref_knn_sets(dist, k):

@@ -432,7 +432,6 @@ def test_criterion_8_hard_keys_beat_other_key_rules(capsys, tmp_path, monkeypatc
     hard_instance_loss for another must not raise criterion 5's mu=0.5 mAP."""
     t0 = time.perf_counter()
     write_mu_sweep_set(tmp_path)
-    monkeypatch.delenv("HHCL_THREADS", raising=False)  # keep cells in-process
     rules = {"hard": hard_keys, "random slot": random_slot_keys(0),
              "easiest positive": easiest_positive_keys}
     means = {}

@@ -629,9 +629,15 @@ class TestAblate:
         ]
 
     def test_summary_schema_and_grid_order(self, dataset_dir, tmp_path,
-                                           capsys):
+                                           capsys, monkeypatch):
+        read = []
+        monkeypatch.setattr(cli, "load_features",
+                            lambda path: read.append(path) or load_features(path))
         out = tmp_path / "ab"
         assert main(self.ablate_args(dataset_dir, out)) == 0
+        # the four cells share one read of each input file
+        assert sorted(map(str, read)) == sorted(
+            str(dataset_dir / f"{name}.feat") for name in ("train", "query", "gallery"))
         stdout = capsys.readouterr().out
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -655,32 +661,6 @@ class TestAblate:
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [(r["seed"], r["trained_epochs"]) for r in rows] == [("2", "1")]
-
-    @pytest.mark.parametrize("threads", ["abc", "0"])
-    def test_bad_hhcl_threads_exits_2_before_manifest(self, dataset_dir, tmp_path,
-                                                      capsys, monkeypatch, threads):
-        def no_loading(*args, **kwargs):
-            raise AssertionError("a features file was read")
-
-        monkeypatch.setattr(cli, "load_features", no_loading)
-        monkeypatch.setenv("HHCL_THREADS", threads)
-        out = tmp_path / "ab"
-        assert main(self.ablate_args(dataset_dir, out)) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "HHCL_THREADS" in err[0] and repr(threads) in err[0]
-        assert not out.exists()
-
-    def test_parallel_matches_serial(self, dataset_dir, tmp_path, capsys,
-                                     monkeypatch):
-        serial = tmp_path / "serial"
-        assert main(self.ablate_args(dataset_dir, serial)) == 0
-        monkeypatch.setenv("HHCL_THREADS", "2")
-        parallel = tmp_path / "parallel"
-        assert main(self.ablate_args(dataset_dir, parallel)) == 0
-        capsys.readouterr()
-        assert (serial / "summary.csv").read_bytes() == (
-            parallel / "summary.csv"
-        ).read_bytes()
 
 
 def test_console_script_version():

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import cdist
 
-from hybridreid import OUTLIER, clustering, dbscan, l2_normalize, pseudo_label
+from hybridreid import (OUTLIER, MLPEncoder, SynthSpec, TrainConfig, clustering, dbscan,
+                        embed_all, generate, l2_normalize, load_features, pseudo_label,
+                        save_features)
 from hybridreid.clustering import BLOCK_ROWS, jaccard_distance, k_reciprocal_neighbors
 from hybridreid.core import _max_clusters
 
@@ -17,6 +19,7 @@ from oracles import (
     ref_jaccard,
     ref_kreciprocal,
     ref_pairwise_euclidean,
+    scan_order_dbscan,
 )
 
 
@@ -78,6 +81,47 @@ def densify(pairs):
     np.fill_diagonal(out, 0.0)
     out[i, j] = out[j, i] = dist
     return out
+
+
+# point 8 is border (2 neighbors < min_pts 3 at eps 0.36) and within eps
+# of cores in two clusters
+BORDER_PTS = np.array([0.0, 0.1, 0.2, 0.3, 1.0, 1.1, 1.2, 1.3, 0.65])
+
+
+class CountingMinimumAt:
+    """Stands in for the numpy module: the same, except that it counts the
+    calls of ``minimum.at``."""
+
+    def __init__(self):
+        self.calls = 0
+        counter = self
+
+        class Minimum:
+            __call__ = staticmethod(np.minimum)
+
+            @staticmethod
+            def at(*args):
+                counter.calls += 1
+                return np.minimum.at(*args)
+
+        self.minimum = Minimum()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.fixture(scope="module")
+def label_heavy_pairs(tmp_path_factory):
+    """The Jaccard pairs of the first epoch of the benchmark's label-heavy
+    workload at seed 101: N = 4000 (200 identities x 20 instances, 32 dims)
+    embedded by the untrained seed-101 encoder, at the default config."""
+    path = tmp_path_factory.mktemp("label_heavy") / "train.feat"
+    save_features(generate(SynthSpec(num_identities=200, instances_per_identity=20,
+                                     dims=32, seed=101))[0], path)
+    cfg = TrainConfig(seed=101)
+    emb = embed_all(MLPEncoder([32, *cfg.hidden_dims], seed=cfg.seed),
+                    load_features(path).features)
+    return jaccard_distance(k_reciprocal_neighbors(emb, cfg.kreciprocal_k)), cfg
 
 
 class TestPairwiseEuclidean:
@@ -227,10 +271,8 @@ class TestDbscan:
         assert lab.num_outliers == 1
 
     def test_border_goes_to_first_claiming_cluster(self):
-        # point 8 is border (2 neighbors < min_pts) and within eps of
-        # cores in both clusters; it must join the one started first
-        pts = np.array([0.0, 0.1, 0.2, 0.3, 1.0, 1.1, 1.2, 1.3, 0.65])
-        d = np.abs(pts[:, None] - pts[None, :])
+        # point 8 must join the lower-numbered of its two clusters
+        d = np.abs(BORDER_PTS[:, None] - BORDER_PTS)
         lab = dbscan(explicit_pairs(d), eps=0.36, min_pts=3)
         assert lab.num_clusters == 2
         assert lab.assignment[8] == lab.assignment[0] == 0
@@ -316,6 +358,7 @@ class TestDbscan:
         with pytest.raises(TypeError, match="pairs"):
             dbscan(np.zeros((3, 3)), eps=0.1, min_pts=1)
         n, i, j, dist = explicit_pairs(np.zeros((4, 4)))  # (0,1) (0,2) (0,3) (1,2) ...
+        none = np.array([], dtype=np.int64)
         bad = {
             "lengths": (n, i, j[:-1], dist),
             "float ids": (n, i.astype(float), j, dist),
@@ -326,11 +369,50 @@ class TestDbscan:
             "diagonal": (n, np.r_[i, 3], np.r_[j, 3], np.r_[dist, 0.0]),
             "repeated": (n, np.r_[i, 2], np.r_[j, 3], np.r_[dist, 0.0]),
             "unordered": (n, i[::-1], j[::-1], dist),
+            "negative n": (-1, none, none, np.array([])),
+            "float n": (4.0, i, j, dist),
+            "numpy float n": (np.float64(4.0), i, j, dist),
+            "bool n": (True, none, none, np.array([])),
         }
         for name, pairs in bad.items():
             with pytest.raises(ValueError, match="pairs"):
                 dbscan(pairs, eps=0.1, min_pts=1)
         assert dbscan((n, i, j, dist), eps=0.1, min_pts=1).num_clusters == 1
+        assert dbscan((np.int64(n), i, j, dist), eps=0.1, min_pts=1).num_clusters == 1
+        assert dbscan((0, none, none, np.array([])), eps=0.1, min_pts=1).num_samples == 0
+
+    @pytest.mark.parametrize("order", ["sorted", "reversed", "random"])
+    def test_hooking_rounds_on_a_long_chain(self, order):
+        # a chain is the worst case for label propagation; hooking and
+        # pointer jumping must join it in at most 2 ceil(log2 n) + 1 rounds
+        n = 20_000
+        path = {"sorted": np.arange(n), "reversed": np.arange(n)[::-1],
+                "random": np.random.default_rng(7).permutation(n)}[order]
+        key = np.sort(np.minimum(path[1:], path[:-1]) * n + np.maximum(path[1:], path[:-1]))
+        pairs = (n, key // n, key % n, np.zeros(n - 1))
+        hooks = CountingMinimumAt()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(clustering, "np", hooks)
+            # min_pts=2 leaves the two ends of the chain as border points
+            got = dbscan(pairs, eps=0.5, min_pts=2)
+        ref_labels, ref_c = scan_order_dbscan(pairs, 0.5, 2)
+        assert got.num_clusters == ref_c == 1
+        assert got.assignment.tolist() == ref_labels.tolist()
+        # every call but the two border passes is one hooking round
+        assert 1 <= hooks.calls - 2 <= 2 * int(np.ceil(np.log2(n))) + 1
+
+    def test_peak_memory_on_label_heavy_pairs(self, label_heavy_pairs):
+        # the breadth-first form copied its neighbor arrays into Python
+        # lists and peaked at 4.9 MiB on these pairs
+        pairs, cfg = label_heavy_pairs
+        tracemalloc.start()
+        try:
+            lab = dbscan(pairs, cfg.dbscan_eps, cfg.dbscan_min_pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lab.num_clusters > 0
+        assert peak < 3.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestPseudoLabelPipeline:
@@ -454,6 +536,41 @@ def test_pseudo_label_matches_dense_oracle_chain(case):
     got = pseudo_label(emb, k, eps, min_pts)
     jac = ref_jaccard(ref_kreciprocal(blocked_dist(emb), k))
     ref_labels, ref_c = ref_dbscan(jac, eps, min_pts)
+    assert got.num_clusters == ref_c
+    assert got.assignment.tolist() == ref_labels.tolist()
+
+
+# pair distances, zeros included; eps often lands on one of them
+DIST_GRID = [0.0, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+
+
+@st.composite
+def pair_graphs(draw):
+    """``(n, i, j, dist)`` pairs over 1..60 points with an eps and min_pts
+    in 1..6: random pairs, often with a chain and a star laid over them and
+    some points cut off, at distances on DIST_GRID."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = draw(st.integers(1, 60), label="n")
+    adj = rng.random((n, n)) < draw(st.floats(0.0, 0.3), label="density")
+    if draw(st.booleans(), label="chain"):
+        path = rng.permutation(n)[:rng.integers(1, n + 1)]
+        adj[path[:-1], path[1:]] = True
+    if draw(st.booleans(), label="star"):
+        adj[rng.integers(n), rng.random(n) < 0.5] = True
+    isolated = rng.random(n) < draw(st.floats(0.0, 0.3), label="isolated")
+    adj[isolated] = adj[:, isolated] = False
+    i, j = np.nonzero(np.triu(adj | adj.T, 1))
+    eps = draw(st.sampled_from(DIST_GRID[2:]) | st.floats(0.01, 0.99), label="eps")
+    return (n, i, j, rng.choice(DIST_GRID, size=i.size)), eps, draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=pair_graphs())
+@example(case=(explicit_pairs(np.abs(BORDER_PTS[:, None] - BORDER_PTS)), 0.36, 3))
+def test_dbscan_matches_scan_order_expansion(case):
+    pairs, eps, min_pts = case
+    got = dbscan(pairs, eps, min_pts)
+    ref_labels, ref_c = scan_order_dbscan(pairs, eps, min_pts)
     assert got.num_clusters == ref_c
     assert got.assignment.tolist() == ref_labels.tolist()
 
