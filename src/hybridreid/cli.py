@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -52,15 +53,36 @@ METRICS_HEADER = ["epoch", "C", "outliers", "loss", "loss_cls", "loss_ins", "sec
 ABLATE_METRICS = ("mAP", "rank1", "rank5", "rank10")
 ABLATE_HEADER = ["mu", "seed", "trained_epochs", *ABLATE_METRICS]
 
+def _numpy_openblas_setter():
+    """The thread-count setter of the OpenBLAS bundled in numpy's wheel
+    (``numpy.libs/libscipy_openblas*``), or None where none is found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            if hasattr(lib, name):
+                return getattr(lib, name)
+    return None
+
+
 def _pin_blas_for_determinism() -> dict:
     """Pin BLAS to one thread (a GEMM's summation split may depend on the
-    thread count), warning if it cannot; returns the manifest entry."""
+    thread count) through threadpoolctl, or else through numpy's own
+    OpenBLAS, warning if neither is found; returns the manifest entry."""
     try:
         import threadpoolctl
     except ImportError:
-        print("warning: threadpoolctl is not installed, so BLAS threads are not pinned; "
-              "--deterministic results may depend on the thread count", file=sys.stderr)
-        return {"blas_threads_pinned": False}
+        setter = _numpy_openblas_setter()
+        if setter is None:
+            print("warning: neither threadpoolctl nor numpy's bundled OpenBLAS is found, so "
+                  "BLAS threads are not pinned; --deterministic results may depend on the "
+                  "thread count", file=sys.stderr)
+            return {"blas_threads_pinned": False}
+        setter(1)
+        return {"blas_threads_pinned": True}
     threadpoolctl.threadpool_limits(limits=1)
     return {"blas_threads_pinned": True}
 

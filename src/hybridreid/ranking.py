@@ -2,7 +2,9 @@
 labeling, a floating-point filter in the sense of Shewchuk (1997): a GEMM
 gives each pair t = |g|^2 - 2 q.g, which orders two items of a row wherever
 ``_screen_tolerance`` proves it safe, and only inside that bound does the
-per-pair distance of ``_pair_distances`` decide, ties to the lower index."""
+per-pair distance of ``_pair_distances`` decide, ties to the lower index.
+Evaluation puts a float32 form of the same product in front of it, under a
+bound of its own (``_screen_tolerance(..., prescreen=True)``)."""
 
 from __future__ import annotations
 
@@ -13,10 +15,13 @@ import numpy as np
 PAIR_CHUNK = 2 ** 14
 
 
-def _screen_tolerance(q, g_sq):
+def _screen_tolerance(q, g_sq, prescreen=False):
     """Per row of ``q``, a bound, with a safety factor above 2.6, on how far
     the GEMM form can put an item past another that the per-pair distance
     puts no nearer; ``g_sq`` holds the squared norms of the other side.
+    With ``prescreen``, a bound on how far a float32 form of the same
+    product can put an item past the nearest of those the float64 screen
+    keeps (below).
 
     Write t = |g|^2 - 2 q.g, the squared distance less the row's own |q|^2,
     u = eps/2, M = |q| + max|g| and d2 the exact squared distance, and take
@@ -44,10 +49,45 @@ def _screen_tolerance(q, g_sq):
     above takes at most 6D + 2 products, so at most 3D + 1 subnormals of
     such error, and 8 (D+4) are added. Once (|q| + max|g|)^2 overflows, the
     tolerance is inf.
+
+    The pre-screen: let T be the (D+1)-term product [a, 1].[b, c] in
+    float32, where a, b and c are -2q, g and fl(|g|^2) rounded to float32,
+    each entry within u32 = eps32/2 of its own value. Then
+    |a.b + 2 q.g| <= 2 u32 (2|q||g|) to first order (Cauchy-Schwarz),
+    |c - |g|^2| <= u32 |g|^2 + D u |g|^2, and the product adds at most
+    (D+1) u32 (2|q||g| + |g|^2). As 2|q||g| + |g|^2 <= M^2 and
+    4|q||g| + |g|^2 <= 2 M^2, and D u <= u32 for any D below 2^29,
+    |T - (d2 - |q|^2)| <= (D+4) u32 M^2. Take the item h the float64 screen
+    cuts at, t_h the largest t among a row's relevant items, and an item j
+    it keeps, t_j <= t_h + tol (or t_j NaN, see below). Going from T_j to
+    t_j and from t_h to T_h, each through the exact value, costs at most
+    (D+4) u32 M^2 + (2D+1) u M^2 per step, so
+    T_j <= T_h + tol + (D+4) eps32 M^2 + (2D+1) eps M^2, and T_h is at
+    most the largest T among the row's relevant items. The pre-screen adds
+    8 (D+4) eps32 M^2 to tol, more than 7 times what that needs, which
+    covers the same second-order and rounding terms as above.
+    Under underflow each of the 2D+1 rounded entries may instead be off by
+    up to half the smallest float32 subnormal s32, which moves T by at most
+    s32 (sqrt(D) M + 1/2), and each of the D+1 float32 products by s32/2;
+    8 (D+4) s32 (1 + M) is added for that. So wherever the inputs are all
+    below float32's normal range, the tolerance spans every T and the
+    pre-screen keeps every item. The caller compares T with the cut rounded
+    up to float32, and an item whose T is NaN is kept. Once 2 M^2
+    overflows float32 (as then may an entry of a, b or c, or a sum in the
+    product, giving an inf or a NaN T), the pre-screen tolerance is inf, so
+    the cut is inf or NaN and every item is kept. The float64 screen keeps
+    a NaN t only where M^2 overflows float64, and the pre-screen keeps
+    every item there too.
     """
     scale = np.sqrt(np.einsum("ij,ij->i", q, q)) + np.sqrt(g_sq.max())
     f = np.finfo(np.float64)
-    return 8 * (q.shape[1] + 4) * (f.eps * scale ** 2 + f.smallest_subnormal)
+    tol = 8 * (q.shape[1] + 4) * (f.eps * scale ** 2 + f.smallest_subnormal)
+    if not prescreen:
+        return tol
+    f = np.finfo(np.float32)
+    with np.errstate(over="ignore"):
+        extra = 8 * (q.shape[1] + 4) * (f.eps * scale ** 2 + f.smallest_subnormal * (1 + scale))
+        return np.where(2 * scale ** 2 < f.max, tol + extra, np.inf)
 
 
 def _pair_distances(a, ia, b, ib):

@@ -181,6 +181,7 @@ class TestTrain:
     def test_deterministic_without_threadpoolctl_warns_and_records(
             self, dataset_dir, tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        monkeypatch.setattr(cli, "_numpy_openblas_setter", lambda: None)  # no fallback
         out = tmp_path / "det_unpinned"
         rc = main([
             "train", "--features", str(dataset_dir / "train.feat"),
@@ -198,6 +199,23 @@ class TestTrain:
         assert "not pinned" not in capsys.readouterr().err
         manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
         assert "blas_threads_pinned" not in manifest
+
+    def test_deterministic_without_threadpoolctl_pins_numpy_openblas(
+            self, dataset_dir, tmp_path, monkeypatch, capsys):
+        """Wherever numpy's bundled OpenBLAS exports its thread setter,
+        pinning needs no threadpoolctl: the manifest records true and
+        nothing warns."""
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+        found = cli._numpy_openblas_setter() is not None
+        out = tmp_path / "det_numpy_blas"
+        rc = main([
+            "train", "--features", str(dataset_dir / "train.feat"),
+            "--out-dir", str(out), "--deterministic", *TRAIN_FLAGS,
+        ])
+        assert rc == 0
+        assert ("not pinned" in capsys.readouterr().err) is not found
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_threads_pinned"] is found
 
     def test_config_file_and_flag_precedence(self, dataset_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"

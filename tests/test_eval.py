@@ -399,15 +399,19 @@ def screen_adversarial(draw):
     far above a step. A few distinct rows fill the near gallery, so a
     query's farthest match recurs at many positions under other ids; the
     other two thirds are distractors far off, so the screen has to cut.
-    Center norms run from about 1e-3 to 1e3, dims from 2 to 64, and the
-    queries span more than one screen block."""
+    Center norms run from about 1e-3 to 1e3, plus powers of two where the
+    float32 pre-screen's inputs underflow (2^-150, 2^-140), are subnormal
+    (2^-130), have subnormal products (2^-75), come near the top of its
+    range (2^60) or overflow it (2^64, 2^126, 2^130); dims run from 2 to
+    64, and the queries span more than one screen block."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dims = draw(st.integers(2, 64))
     nq = draw(st.integers(SCREEN_BLOCK + 1, 2 * SCREEN_BLOCK + 8))
     n_near, n_ids = draw(st.integers(8, 40)), draw(st.integers(3, 12))
     # coordinates are integer multiples of a step 2^-30 of the center's
     # norm, so every point, difference, square and sum cdist takes is exact
-    scale = 2.0 ** draw(st.integers(-10, 10))
+    scale = 2.0 ** draw(st.integers(-10, 10)
+                        | st.sampled_from([-150, -140, -130, -75, 60, 64, 126, 130]))
     step = scale * 2.0 ** -30
     center = np.round(rng.standard_normal(dims) / np.sqrt(dims) * 2.0 ** 30) * step
     points = center + step * rng.integers(0, 3, (draw(st.integers(3, 8)), dims))
