@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
 import dataclasses
 import hashlib
 import json
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, parallel
 from .clustering import pseudo_label
 from .core import (
     ClusteringCollapseError,
@@ -53,38 +52,15 @@ METRICS_HEADER = ["epoch", "C", "outliers", "loss", "loss_cls", "loss_ins", "sec
 ABLATE_METRICS = ("mAP", "rank1", "rank5", "rank10")
 ABLATE_HEADER = ["mu", "seed", "trained_epochs", *ABLATE_METRICS]
 
-def _numpy_openblas_setter():
-    """The thread-count setter of the OpenBLAS bundled in numpy's wheel
-    (``numpy.libs/libscipy_openblas*``), or None where none is found."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
-            if hasattr(lib, name):
-                return getattr(lib, name)
-    return None
-
-
 def _pin_blas_for_determinism() -> dict:
-    """Pin BLAS to one thread (a GEMM's summation split may depend on the
-    thread count) through threadpoolctl, or else through numpy's own
-    OpenBLAS, warning if neither is found; returns the manifest entry."""
-    try:
-        import threadpoolctl
-    except ImportError:
-        setter = _numpy_openblas_setter()
-        if setter is None:
-            print("warning: neither threadpoolctl nor numpy's bundled OpenBLAS is found, so "
-                  "BLAS threads are not pinned; --deterministic results may depend on the "
-                  "thread count", file=sys.stderr)
-            return {"blas_threads_pinned": False}
-        setter(1)
+    """Pin BLAS to one thread, warning where that cannot be done; returns
+    the manifest entry."""
+    if parallel.pin_blas():
         return {"blas_threads_pinned": True}
-    threadpoolctl.threadpool_limits(limits=1)
-    return {"blas_threads_pinned": True}
+    print("warning: neither threadpoolctl nor numpy's bundled OpenBLAS is found, so "
+          "BLAS threads are not pinned; --deterministic results may depend on the "
+          "thread count", file=sys.stderr)
+    return {"blas_threads_pinned": False}
 
 
 def _write_csv(path, header, rows):
@@ -211,7 +187,8 @@ def cmd_cluster(args) -> int:
     labels_path = out_dir / "labels.csv"
     params = {name: getattr(cfg, name) for name in CLUSTER_FIELDS}
     write_manifest(out_dir, "cluster", params, None,
-                   inputs={"features": args.features}, outputs=[labels_path])
+                   inputs={"features": args.features}, outputs=[labels_path],
+                   extra={"workers": parallel.workers()})
     features = load_features(args.features).features
     # clustering forms no batches, so only labeling's bound applies
     _check_fields(cfg, _CONFIG_RULES + (_labeling_rule(features.shape[0]),))
@@ -238,7 +215,8 @@ def cmd_train(args) -> int:
         inputs["query"] = args.query
         inputs["gallery"] = args.gallery
         outputs.append(out_dir / "eval.json")
-    write_manifest(out_dir, "train", cfg.to_dict(), cfg.seed, inputs, outputs, pinning)
+    write_manifest(out_dir, "train", cfg.to_dict(), cfg.seed, inputs, outputs,
+                   {"workers": parallel.workers(), **pinning})
     model, opt, reports = train(load_features(args.features).features, cfg)
     _write_metrics_csv(metrics_path, reports, zero_seconds=args.deterministic)
     save_checkpoint(ckpt_path, model, opt, epoch=len(reports))
@@ -266,7 +244,7 @@ def cmd_evaluate(args) -> int:
         per_query_path = out_dir / "per_query.csv"
         outputs = [metrics_path, per_query_path] if args.per_query else [metrics_path]
         write_manifest(out_dir, "evaluate", {"junk_filter": not args.no_junk_filter},
-                       None, inputs, outputs)
+                       None, inputs, outputs, {"workers": parallel.workers()})
     model = None
     if args.checkpoint:
         model, _, _ = load_checkpoint(args.checkpoint)
@@ -301,7 +279,7 @@ def cmd_ablate(args) -> int:
     write_manifest(out_dir, "ablate", manifest_cfg, cfg.seed,
                    inputs={"features": args.features, "query": args.query,
                            "gallery": args.gallery},
-                   outputs=[summary_path], extra=pinning)
+                   outputs=[summary_path], extra={"workers": parallel.workers(), **pinning})
     features = load_features(args.features)
     validate_config(cfg, num_samples=features.ids.size)
     query, gallery = load_features(args.query), load_features(args.gallery)

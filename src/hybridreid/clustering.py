@@ -1,22 +1,26 @@
 """Pseudo-label generation: k-reciprocal neighbor sets, their Jaccard
-distance and a deterministic DBSCAN. Neighbors are ranked 64 rows at a
-time, the sets are CSR-style (indptr, indices) arrays and the Jaccard
-distances are (i, j, dist) pairs, so the working set is a few 64 x N blocks
-plus O(N k) sets and pairs, never an N x N array. DBSCAN's clusters are
-the connected components of the core points joined within eps, numbered
-by their smallest core and found by array passes (min-label hooking and
-pointer jumping); a border point joins the lowest-numbered cluster among
-its core neighbors."""
+distance and a deterministic DBSCAN. Neighbors are ranked 32 rows at a
+time, a block per worker (``hybridreid.parallel``), the sets are CSR-style
+(indptr, indices) arrays and the Jaccard distances are (i, j, dist) pairs,
+so the working set is a 32 x N block per worker plus O(N k) sets and pairs,
+never an N x N array. DBSCAN's clusters are the connected components of
+the core points joined within eps, numbered by their smallest core and
+found by array passes (min-label hooking and pointer jumping); a border
+point joins the lowest-numbered cluster among its core neighbors."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .core import OUTLIER, PseudoLabeling
-from .ranking import _pair_distances, _screen_tolerance
+from .parallel import run_blocks
+from .ranking import _gemm, _pair_distances, _screen_tolerance
 
-# Rows ranked at once; labeling memory is a few BLOCK_ROWS x N arrays.
-BLOCK_ROWS = 64
+# Rows a worker ranks at once; labeling memory is a BLOCK_ROWS x N array
+# per worker.
+BLOCK_ROWS = 32
+# Rows of a block partitioned at once.
+PARTITION_ROWS = 4
 # Pair keys built at once in jaccard_distance, before they go to their slice.
 PAIR_BLOCK = 1 << 16
 
@@ -29,10 +33,11 @@ def k_reciprocal_neighbors(emb: np.ndarray, k: int):
     ``R(i) = {j : j in kNN(i) and i in kNN(j)}`` in ascending order, with
     kNN by Euclidean distance between unit-norm rows, excluding the sample
     itself and with ties at the k-th distance broken by lower index. One
-    GEMM per BLOCK_ROWS rows gives u = 2 e_i.e_j - |e_j|^2, which is -t for
-    the t = |e_j|^2 - 2 e_i.e_j of ``hybridreid.ranking``, and the k largest
-    u are the k nearest unless the next u is within the ranking tolerance of
-    the k-th; only such rows compute per-pair distances, and only for the
+    GEMM per BLOCK_ROWS rows, each block on a worker of ``run_blocks``,
+    gives u = 2 e_i.e_j - |e_j|^2, which is -t for the t = |e_j|^2 -
+    2 e_i.e_j of ``hybridreid.ranking``, and the k largest u are the k
+    nearest unless the next u is within the ranking tolerance of the k-th;
+    only such rows compute per-pair distances, and only for the
     columns inside that bound.
     """
     emb = np.asarray(emb, dtype=np.float64)
@@ -48,15 +53,22 @@ def k_reciprocal_neighbors(emb: np.ndarray, k: int):
     # argpartition takes longer to find the k smallest t than the k largest u
     rhs = np.hstack([emb, sq[:, None]])
     knn = np.empty((n, k), dtype=np.int64)
-    for lo in range(0, n, BLOCK_ROWS):
+
+    def rank_block(lo, buffer):
         block = emb[lo:lo + BLOCK_ROWS]
-        u = np.hstack([2.0 * block, -np.ones((block.shape[0], 1))]) @ rhs.T
-        rows = np.arange(u.shape[0])
+        rows = np.arange(block.shape[0])
+        u = _gemm(np.hstack([2.0 * block, -np.ones((rows.size, 1))]), rhs.T,
+                  buffer[:rows.size])
         u[rows, lo + rows] = -np.inf
-        order = np.argpartition(u, n - k - 1, axis=1)
-        near = order[:, n - k:]
+        # each row's k + 1 largest u, the (k+1)-th first, a few rows at a
+        # time: argpartition's index array spans PARTITION_ROWS x N
+        top = np.empty((rows.size, k + 1), dtype=np.int64)
+        for at in range(0, rows.size, PARTITION_ROWS):
+            part = np.argpartition(u[at:at + PARTITION_ROWS], n - k - 1, axis=1)
+            top[at:at + PARTITION_ROWS] = part[:, n - k - 1:]
+        near = top[:, 1:]
         u_k = np.take_along_axis(u, near, axis=1).min(axis=1)
-        tie = np.flatnonzero(u[rows, order[:, n - k - 1]] >= u_k - tol[lo + rows])
+        tie = np.flatnonzero(u[rows, top[:, 0]] >= u_k - tol[lo + rows])
         if tie.size:
             # Where t is below t_k - tol, fewer than k items can be nearer, so
             # a column is in; above t_k + tol, the k largest u are all nearer.
@@ -72,6 +84,10 @@ def k_reciprocal_neighbors(emb: np.ndarray, k: int):
             picked[r[take], j[take]] = True
             near[tie] = np.nonzero(picked)[1].reshape(-1, k)
         knn[lo:lo + rows.size] = np.sort(near, axis=1)
+
+    run_blocks(range(0, n, BLOCK_ROWS), rank_block,
+               lambda: np.empty((min(BLOCK_ROWS, n), n)))
+    del rank_block, rhs  # freed before the keys, which set the peak
     # j is in R(i) iff the key i*n + j is both a kNN pair's and a transposed
     # one's, so it appears twice among them once they are sorted
     rows = np.arange(n)[:, None]

@@ -13,6 +13,7 @@ import numpy as np
 
 from .core import NumericError
 from .memory import _checked_ids, hard_keys
+from .parallel import run_blocks
 
 # Bytes of picked slots gathered at once for the instance-loss gradient.
 GATHER_BYTES = 512 << 10
@@ -71,7 +72,8 @@ def hard_instance_loss(batch, slots, own_clusters, tau_ins: float) -> LossOutput
     logits are the similarities ``hard_keys`` already computed, and gradient
     row b is ``(sum_c p_bc key_bc - key_positive) / tau_ins`` over its C
     picked keys: a (1 x C) @ (C x D) product per row, batched over the keys
-    of a few rows gathered at a time.
+    of a few rows gathered at a time, each batch on a worker of
+    ``run_blocks``.
     """
     picks, sims = hard_keys(batch, slots, own_clusters)
     own = np.asarray(own_clusters, dtype=np.int64)
@@ -82,10 +84,13 @@ def hard_instance_loss(batch, slots, own_clusters, tau_ins: float) -> LossOutput
     picked = picks + s * np.arange(c)  # row of keys picked for each (b, c)
     grad = np.empty((p.shape[0], d))
     step = max(1, GATHER_BYTES // (c * d * 8))
-    for lo in range(0, p.shape[0], step):
+
+    def gather_block(lo, _):
         # every index is in range, so clipping changes nothing; it is the fast mode
         np.matmul(p[lo:lo + step, None, :],
                   keys.take(picked[lo:lo + step], axis=0, mode="clip"),
                   out=grad[lo:lo + step, None, :])
+
+    run_blocks(range(0, p.shape[0], step), gather_block)
     grad /= tau_ins
     return LossOutput(values, grad)

@@ -10,6 +10,7 @@ import numpy as np
 import numpy.random  # numpy imports it lazily: load it with this module
 
 from .core import PseudoLabeling
+from .parallel import run_blocks
 
 # Mean vectors shorter than this are treated as degenerate (e.g. the mean
 # of two antipodal unit vectors).
@@ -113,8 +114,9 @@ def hard_keys(batch, slots, own_clusters):
 
     Returns (B x C slot indices, B x C similarities of the picked slots).
     The C x S x D slots are scored a block of clusters at a time, as many
-    as fit SCORE_BYTES of similarities (at least one), in one buffer that
-    every block reuses: the call never holds the B x (C*S) product.
+    as fit SCORE_BYTES of similarities (at least one), each block on a
+    worker of ``run_blocks`` and in the one buffer that worker reuses: the
+    call never holds the B x (C*S) product.
     """
     batch = np.asarray(batch, dtype=np.float64)
     c, s, d = slots.shape
@@ -124,21 +126,24 @@ def hard_keys(batch, slots, own_clusters):
     picks = np.empty((b, c), dtype=np.int64)
     sims = np.empty((b, c))
     step = max(1, SCORE_BYTES // (b * s * 8 or 1))
-    # one buffer for all blocks: glibc may map, and fault in, a fresh one per block
-    buf = np.empty(b * min(step, c) * s)
     # by_own[edges[i]:edges[i + 1]] are the rows whose own cluster is in block i
     by_own = np.argsort(own_clusters, kind="stable")
     edges = np.searchsorted(own_clusters[by_own], np.arange(0, c + step, step))
-    for i, lo in enumerate(range(0, c, step)):
+
+    def score_block(lo, buf):
         hi = min(lo + step, c)
         flat = buf[:b * (hi - lo) * s].reshape(b, (hi - lo) * s)
         np.matmul(batch, keys[lo * s:hi * s].T, out=flat)
         block = flat.reshape(b, hi - lo, s)
         picked = np.argmax(block, axis=2)
-        rows = by_own[edges[i]:edges[i + 1]]
+        rows = by_own[edges[lo // step]:edges[lo // step + 1]]
         own = own_clusters[rows] - lo
         picked[rows, own] = np.argmin(block[rows, own], axis=1)
         picks[:, lo:hi] = picked
         picked += np.arange(0, picked.size * s, s).reshape(picked.shape)  # offsets in buf
         sims[:, lo:hi] = buf.take(picked)
+
+    # one buffer per worker for all its blocks: glibc may map, and fault in,
+    # a fresh one per block
+    run_blocks(range(0, c, step), score_block, lambda: np.empty(b * min(step, c) * s))
     return picks, sims

@@ -90,6 +90,13 @@ def _screen_tolerance(q, g_sq, prescreen=False):
         return np.where(2 * scale ** 2 < f.max, tol + extra, np.inf)
 
 
+def _gemm(a, b, out):
+    """``a @ b``, written into ``out``: the GEMM form that labeling ranks
+    by. Its bits cannot change a result, which a test checks by moving
+    every entry inside the tolerance."""
+    return np.matmul(a, b, out=out)
+
+
 def _pair_distances(a, ia, b, ib):
     """``|b[ib[n]] - a[ia[n]]|`` for each n, as
     ``np.sqrt(((b - a) ** 2).sum(axis=1))`` of the two rows alone, so copies

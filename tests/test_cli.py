@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hybridreid import SynthSpec, l2_normalize, load_checkpoint, load_features, pseudo_label
-from hybridreid import cli
+from hybridreid import cli, parallel
 from hybridreid.cli import _write_metrics_csv, main
 from hybridreid.trainer import EpochReport
 
@@ -181,7 +181,7 @@ class TestTrain:
     def test_deterministic_without_threadpoolctl_warns_and_records(
             self, dataset_dir, tmp_path, monkeypatch, capsys):
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-        monkeypatch.setattr(cli, "_numpy_openblas_setter", lambda: None)  # no fallback
+        monkeypatch.setattr(parallel, "_numpy_openblas_setter", lambda: None)  # no fallback
         out = tmp_path / "det_unpinned"
         rc = main([
             "train", "--features", str(dataset_dir / "train.feat"),
@@ -206,7 +206,7 @@ class TestTrain:
         pinning needs no threadpoolctl: the manifest records true and
         nothing warns."""
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-        found = cli._numpy_openblas_setter() is not None
+        found = parallel._numpy_openblas_setter() is not None
         out = tmp_path / "det_numpy_blas"
         rc = main([
             "train", "--features", str(dataset_dir / "train.feat"),

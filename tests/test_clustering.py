@@ -632,3 +632,59 @@ def test_kreciprocal_copies_tie_to_lower_index(case):
     emb, k = case
     got = k_reciprocal_neighbors(emb, k)
     assert np.array_equal(set_matrix(got), ref_kreciprocal(blocked_dist(emb), k))
+
+
+def shaken_gemm(emb, seed):
+    """``ranking._gemm`` with every entry then moved, up or down at random,
+    by up to a quarter of the smallest row's ranking tolerance
+    8 (D + 4) eps M^2 (the safety factor of 2.6 over the proven bound
+    covers that): hundreds of ulps, far more than GEMMs that sum in another
+    order or block shape differ by. The tolerance is worked out here, not
+    read from ``ranking``, so a narrower tolerance there does not narrow
+    the shake."""
+    norms = np.linalg.norm(emb, axis=1)
+    quarter = 2 * (emb.shape[1] + 4) * np.finfo(float).eps * (norms.min() + norms.max()) ** 2
+    rng = np.random.default_rng(seed)
+
+    def gemm(a, b, out):
+        u = np.matmul(a, b, out=out)
+        u += rng.uniform(-quarter, quarter, size=u.shape)
+        return u
+
+    return gemm
+
+
+@st.composite
+def gemm_cases(draw):
+    """The tie-rich lattice inputs of ``labeling_cases`` and the copy-heavy
+    inputs of ``near_copies`` and ``repeated_rows``, each with an eps and
+    min_pts."""
+    kind = draw(st.sampled_from(["lattice", "ulp copies", "scaled copies", "repeated"]))
+    if kind == "lattice":
+        return draw(labeling_cases())
+    if kind == "repeated":
+        emb, k = draw(repeated_rows())
+    else:
+        jitter = ((lambda rng, shape: 1.0 + np.finfo(float).eps
+                   * rng.integers(-4, 5, size=shape)) if kind == "ulp copies" else
+                  (lambda rng, shape: 1.0 + rng.uniform(0.0, 5e-5, size=(shape[0], 1))))
+        emb, k, _ = draw(near_copies(jitter))
+    eps = draw(st.floats(0.01, 0.99) | st.sampled_from(JACCARD_VALUES), label="eps")
+    return emb, k, eps, draw(st.integers(1, 5), label="min_pts")
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=gemm_cases(), seed=st.integers(0, 2**32 - 1))
+def test_sets_and_labels_do_not_depend_on_gemm_bits(case, seed):
+    """The k-reciprocal sets and the labels are the same with every GEMM
+    entry shaken inside the tolerance: they cannot depend on the GEMM's
+    bits, so neither on BLAS's thread count nor on the row block size."""
+    emb, k, eps, min_pts = case
+    want_sets = k_reciprocal_neighbors(emb, k)
+    want = pseudo_label(emb, k, eps, min_pts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(clustering, "_gemm", shaken_gemm(emb, seed))
+        got_sets = k_reciprocal_neighbors(emb, k)
+        got = pseudo_label(emb, k, eps, min_pts)
+    assert all(np.array_equal(a, b) for a, b in zip(got_sets, want_sets))
+    assert got.assignment.tolist() == want.assignment.tolist()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hybridreid import EvaluationError, NumericError, evaluate_retrieval, l2_normalize
 from hybridreid import evaluation
 from hybridreid.evaluation import SCREEN_BLOCK
+from hybridreid.ranking import _screen_tolerance
 
 from oracles import (
     ref_average_precision,
@@ -449,6 +450,50 @@ def test_overflowing_norms_rank_by_index(junk_filter):
             rng.integers(0, 3, len(g)), rng.integers(0, 2, len(g)))
     with np.errstate(over="ignore"):  # the reference's own squares overflow
         assert_matches_reference(case, junk_filter)
+
+
+def test_prescreen_tolerance_spans_every_t_below_float32_normals(rng):
+    """Where every entry of q and g (and so of -2q) lies below float32's
+    normal range, each of the 2D+1 rounded entries of the pre-screen's
+    float32 T may be off by up to half the smallest float32 subnormal s32,
+    which moves T by up to s32 (sqrt(D) M + 1/2), and each of its D+1
+    products by s32/2 (the error model of ``_screen_tolerance``). So two
+    items' T may lie twice that apart whatever their distances, and the
+    tolerance spans it: the pre-screen keeps every item."""
+    s32 = float(np.finfo(np.float32).smallest_subnormal)
+    for dims in (2, 16, 64):
+        for top in np.finfo(np.float32).tiny * np.array([0.4, 2.0 ** -10, 2.0 ** -60]):
+            q = rng.uniform(-top, top, (12, dims))
+            g = rng.uniform(-top, top, (30, dims))
+            g_sq = np.einsum("ij,ij->i", g, g)
+            tol32 = _screen_tolerance(q, g_sq, prescreen=True)
+            m = np.linalg.norm(q, axis=1) + np.sqrt(g_sq.max())
+            reach = s32 * (np.sqrt(dims) * m + 0.5 + (dims + 1) / 2)
+            g32 = np.vstack([g.T, g_sq]).astype(np.float32)
+            t32 = np.hstack([-2.0 * q, np.ones((len(q), 1))]).astype(np.float32) @ g32
+            t = g_sq - 2.0 * q @ g.T
+            assert np.all(np.abs(t32 - t) <= reach[:, None])
+            assert np.all(tol32 >= 2 * reach), (dims, top)
+
+
+def test_prescreen_tolerance_is_inf_once_2m2_overflows_float32(rng):
+    """Once 2 M^2 overflows float32, an entry, a product or a sum of the
+    float32 T may be inf or NaN, and the pre-screen's tolerance is inf (so
+    it keeps every item); below that bound it is finite and above the
+    float64 screen's."""
+    bound = np.sqrt(float(np.finfo(np.float32).max) / 2)  # M where 2 M^2 overflows
+    for dims in (2, 16, 64):
+        q = l2_normalize(rng.standard_normal((8, dims)))
+        q *= (bound * np.array([1e-30, 0.01, 0.5, 0.99, 1.01, 2.0, 1e10, 1e100]))[:, None]
+        g = l2_normalize(rng.standard_normal((30, dims)))
+        g_sq = np.einsum("ij,ij->i", g, g)
+        tol32 = _screen_tolerance(q, g_sq, prescreen=True)
+        m = np.linalg.norm(q, axis=1) + np.sqrt(g_sq.max())
+        overflows = 2 * m ** 2 >= float(np.finfo(np.float32).max)
+        assert overflows.tolist() == [False] * 4 + [True] * 4
+        assert np.all(np.isinf(tol32[overflows]))
+        assert np.all(np.isfinite(tol32[~overflows]))
+        assert np.all(tol32[~overflows] > _screen_tolerance(q, g_sq)[~overflows])
 
 
 def test_metrics_dict_keys(rng):
