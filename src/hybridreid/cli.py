@@ -48,20 +48,9 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 EXIT_COLLAPSE = 5
 
-METRICS_HEADER = ["epoch", "C", "outliers", "loss", "loss_cls", "loss_ins", "seconds"]
+METRICS_HEADER = ["epoch", "C", "outliers", "loss", "loss_cls", "loss_ins"]
 ABLATE_METRICS = ("mAP", "rank1", "rank5", "rank10")
 ABLATE_HEADER = ["mu", "seed", "trained_epochs", *ABLATE_METRICS]
-
-def _pin_blas_for_determinism() -> dict:
-    """Pin BLAS to one thread, warning where that cannot be done; returns
-    the manifest entry."""
-    if parallel.pin_blas():
-        return {"blas_threads_pinned": True}
-    print("warning: neither threadpoolctl nor numpy's bundled OpenBLAS is found, so "
-          "BLAS threads are not pinned; --deterministic results may depend on the "
-          "thread count", file=sys.stderr)
-    return {"blas_threads_pinned": False}
-
 
 def _write_csv(path, header, rows):
     with _atomic_open(path, newline="") as fh:
@@ -140,19 +129,23 @@ def _merge_config(args) -> TrainConfig:
     return cfg
 
 
-def _write_metrics_csv(path, reports, zero_seconds: bool):
+def _write_metrics_csv(path, reports):
     _write_csv(path, METRICS_HEADER, (
-        [
-            r.epoch,
-            r.num_clusters,
-            r.num_outliers,
-            f"{r.loss:.10g}",
-            f"{r.loss_cls:.10g}",
-            f"{r.loss_ins:.10g}",
-            f"{0.0 if zero_seconds else r.seconds:.6f}",
-        ]
+        [r.epoch, r.num_clusters, r.num_outliers,
+         *(f"{loss:.10g}" for loss in (r.loss, r.loss_cls, r.loss_ins))]
         for r in reports
     ))
+
+
+def _load_inputs(args) -> list:
+    """The training set, then the query and gallery sets if given, checked
+    before any training to be equally wide."""
+    sets = [load_features(path) for path in (args.features, args.query, args.gallery)
+            if path is not None]
+    widths = [fs.features.shape[1] for fs in sets]
+    if len(set(widths)) > 1:
+        raise ConfigError(f"--features, --query and --gallery must be equally wide, got {widths}")
+    return sets
 
 
 def _evaluate_sets(query, gallery, model=None, junk_filter=True):
@@ -205,28 +198,29 @@ def cmd_train(args) -> int:
     if (args.query is None) != (args.gallery is None):
         raise ConfigError("--query and --gallery must be given together")
     cfg = _merge_config(args)
-    pinning = _pin_blas_for_determinism() if args.deterministic else {}
     out_dir = Path(args.out_dir)
     ckpt_path = out_dir / "checkpoint.ckpt"
     metrics_path = out_dir / "metrics.csv"
+    timings_path = out_dir / "timings.csv"
     inputs = {"features": args.features}
-    outputs = [ckpt_path, metrics_path]
+    outputs = [ckpt_path, metrics_path, timings_path]
     if args.query is not None:
         inputs["query"] = args.query
         inputs["gallery"] = args.gallery
         outputs.append(out_dir / "eval.json")
     write_manifest(out_dir, "train", cfg.to_dict(), cfg.seed, inputs, outputs,
-                   {"workers": parallel.workers(), **pinning})
-    model, opt, reports = train(load_features(args.features).features, cfg)
-    _write_metrics_csv(metrics_path, reports, zero_seconds=args.deterministic)
+                   {"workers": parallel.workers(), "blas_threads_pinned": parallel.pin_blas()})
+    features, *splits = _load_inputs(args)
+    model, opt, reports = train(features.features, cfg)
+    _write_metrics_csv(metrics_path, reports)
+    _write_csv(timings_path, ["epoch", "seconds"],
+               ([r.epoch, f"{r.seconds:.6f}"] for r in reports))
     save_checkpoint(ckpt_path, model, opt, epoch=len(reports))
     last = reports[-1]
     print(f"trained {len(reports)} epochs: C={last.num_clusters} "
           f"outliers={last.num_outliers} loss={last.loss:.4f}")
     if args.query is not None:
-        result = _evaluate_sets(load_features(args.query),
-                                load_features(args.gallery), model=model)
-        metrics = result.metrics()
+        metrics = _evaluate_sets(*splits, model=model).metrics()
         _write_json(out_dir / "eval.json", metrics)
         print("  ".join(f"{k}={v:.4f}" for k, v in sorted(metrics.items())))
     return EXIT_OK
@@ -271,7 +265,6 @@ def cmd_ablate(args) -> int:
              for mu in args.mu_values for seed in args.seeds]
     for cell in cells:
         validate_config(cell)
-    pinning = _pin_blas_for_determinism() if args.deterministic else {}
     out_dir = Path(args.out_dir)
     summary_path = out_dir / "summary.csv"
     manifest_cfg = dict(cfg.to_dict(), mu_values=list(args.mu_values),
@@ -279,10 +272,9 @@ def cmd_ablate(args) -> int:
     write_manifest(out_dir, "ablate", manifest_cfg, cfg.seed,
                    inputs={"features": args.features, "query": args.query,
                            "gallery": args.gallery},
-                   outputs=[summary_path], extra={"workers": parallel.workers(), **pinning})
-    features = load_features(args.features)
-    validate_config(cfg, num_samples=features.ids.size)
-    query, gallery = load_features(args.query), load_features(args.gallery)
+                   outputs=[summary_path], extra={"workers": parallel.workers(),
+                                                  "blas_threads_pinned": parallel.pin_blas()})
+    features, query, gallery = _load_inputs(args)
     results = []
     for cell in cells:
         model, _, reports = train(features.features, cell)
@@ -328,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--query", default=None, help="evaluate after training")
     sp.add_argument("--gallery", default=None)
-    sp.add_argument("--deterministic", action="store_true",
-                    help="single BLAS thread and zeroed timing column")
     sp.add_argument("--config", help="JSON file with training config fields")
     _add_field_flags(sp, TrainConfig)
     sp.set_defaults(func=cmd_train)
@@ -353,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--mu-values", type=float, nargs="+", required=True)
     sp.add_argument("--seeds", type=int, nargs="+", required=True)
-    sp.add_argument("--deterministic", action="store_true")
     sp.add_argument("--config", help="JSON file with training config fields")
     _add_field_flags(sp, TrainConfig)
     sp.set_defaults(func=cmd_ablate)

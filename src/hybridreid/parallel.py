@@ -6,10 +6,10 @@ outputs, gives the same bits on any schedule. ``run_blocks`` runs one on
 threads, started at the first parallel call and kept, are the others. For
 the length of a call each worker is pinned to its own CPU of the caller's
 allowed set (unpinned threads may share one core) and takes the next block
-from a shared counter. Before the first parallel call BLAS is pinned to one
-thread, process-wide, so that the workers' GEMMs do not oversubscribe the
-cores; where it cannot be pinned, the blocks run one after another in the
-caller.
+from a shared counter. BLAS is pinned to one thread, process-wide, by
+``trainer.train`` or else before the first parallel call, so that the
+workers' GEMMs do not oversubscribe the cores; where it cannot be pinned,
+the blocks run one after another in the caller.
 
 A block must call no public hybridreid function, ``run_blocks`` included: a
 tracer that wraps those keeps one span stack per process, and a helper
@@ -20,16 +20,19 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import logging
 import os
 import threading
 
 import numpy as np
 
+logger = logging.getLogger(__name__)
+
 # One worker per CPU this process may run on; run under ``taskset -c 0``
 # for one.
 WORKERS = len(os.sched_getaffinity(0))
 
-_pinned = None  # whether run_blocks pinned BLAS; None before it first tries
+_pinned = None  # whether pin_blas pinned BLAS; None before it first runs
 _helpers = []  # (wake-up semaphore, mailbox list) of each helper thread
 os.register_at_fork(after_in_child=_helpers.clear)  # a forked child has no helpers
 
@@ -64,11 +67,17 @@ def _blas_setter():
 
 def pin_blas() -> bool:
     """Pin BLAS to one thread, process-wide (a GEMM's summation split may
-    depend on the thread count); False where no way to is found."""
+    depend on the thread count); records in ``_pinned`` whether it could.
+    Where it cannot, it logs one WARNING, unless the call before failed too."""
+    global _pinned
     setter = _blas_setter()
     if setter is not None:
         setter(1)
-    return setter is not None
+    elif _pinned is not False:
+        logger.warning("neither threadpoolctl nor numpy's bundled OpenBLAS is found, so BLAS "
+                       "threads are not pinned; results may depend on the thread count")
+    _pinned = setter is not None
+    return _pinned
 
 
 def workers() -> int:
@@ -119,9 +128,8 @@ def run_blocks(starts, fn, scratch=None):
     ``scratch``). Every call must write only its own slices of the outputs.
     If a call raises, no block starts after it, and its exception is
     re-raised once every worker has stopped."""
-    global _pinned
     if _pinned is None and WORKERS > 1:
-        _pinned = pin_blas()
+        pin_blas()
     n = min(WORKERS if _pinned else 1, len(starts))
     if n <= 1:
         buffer = None if scratch is None else scratch()

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .clustering import pseudo_label
 from .core import ClusteringCollapseError, TrainConfig, validate_config
 from .encoder import AdamState, MLPEncoder, adam_step
@@ -33,7 +34,7 @@ STREAM_SAMPLER = 2
 
 @dataclass
 class EpochReport:
-    """Per-epoch summary row, mirrored into the metrics CSV."""
+    """Per-epoch summary row, mirrored into the metrics and timings CSVs."""
 
     epoch: int
     num_clusters: int
@@ -102,8 +103,9 @@ def train(features, cfg: TrainConfig, model: MLPEncoder = None):
     ``cfg.num_identities_per_batch``: it could run no step, so every later
     epoch would label the same unchanged model the same way. If no epoch
     has trained, that raises ``ClusteringCollapseError``; otherwise it logs
-    one WARNING.
+    one WARNING. It first pins BLAS to one thread (``parallel.pin_blas``).
     """
+    parallel.pin_blas()
     feats = np.ascontiguousarray(features, dtype=np.float64)
     n, d_in = feats.shape
     validate_config(cfg, num_samples=n)

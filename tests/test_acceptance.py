@@ -7,7 +7,7 @@ runtime budget.
 3. memory banks keep their invariants over long random update runs
 4. end-to-end learning reaches high mAP on a separable synthetic set
 5. the mu sweep reproduces the hybrid-beats-endpoints ordering
-6. deterministic mode gives byte-identical artifacts
+6. two runs with one seed give byte-identical artifacts
 7. the evaluator implements the single-query junk-filter protocol
 8. hard keys beat a random slot and the easiest positive in training
 """
@@ -362,7 +362,7 @@ def test_criterion_6_deterministic_runs_byte_identical(capsys, tmp_path):
         rc = main([
             "train", "--features", str(data / "train.feat"),
             "--out-dir", str(out),
-            "--deterministic", "--seed", "7",
+            "--seed", "7",
             "--epochs", "4",
             "--num-identities-per-batch", "4",
             "--instances-per-identity", "4",
@@ -380,7 +380,7 @@ def test_criterion_6_deterministic_runs_byte_identical(capsys, tmp_path):
     check(
         capsys, 6,
         same_metrics and same_ckpt,
-        f"two --deterministic --seed 7 runs: metrics byte-identical="
+        f"two --seed 7 runs: metrics byte-identical="
         f"{same_metrics}, checkpoint byte-identical={same_ckpt}",
     )
 

@@ -155,8 +155,7 @@ class TestTrain:
         assert rc == 0
         with open(out / "metrics.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["epoch", "C", "outliers", "loss", "loss_cls",
-                           "loss_ins", "seconds"]
+        assert rows[0] == ["epoch", "C", "outliers", "loss", "loss_cls", "loss_ins"]
         assert len(rows) == 3  # header + 2 epochs
         model, state, epoch = load_checkpoint(out / "checkpoint.ckpt")
         assert epoch == 2
@@ -167,55 +166,64 @@ class TestTrain:
         assert manifest["config"]["epochs"] == 2
         assert "sha256" in manifest["inputs"]["features"]
 
-    def test_deterministic_zeroes_seconds(self, dataset_dir, tmp_path):
-        out = tmp_path / "det"
+    def test_timings_csv_holds_the_seconds(self, dataset_dir, tmp_path):
+        """Wall-clock time goes to timings.csv, one row per trained epoch,
+        so metrics.csv holds no column that varies run to run."""
+        out = tmp_path / "timed"
         rc = main([
             "train", "--features", str(dataset_dir / "train.feat"),
-            "--out-dir", str(out), "--deterministic", *TRAIN_FLAGS,
+            "--out-dir", str(out), *TRAIN_FLAGS,
         ])
         assert rc == 0
         with open(out / "metrics.csv", newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert all(float(r[6]) == 0.0 for r in rows[1:])
+            metrics = list(csv.reader(fh))
+        with open(out / "timings.csv", newline="") as fh:
+            timings = list(csv.reader(fh))
+        assert "seconds" not in metrics[0]
+        assert timings[0] == ["epoch", "seconds"]
+        assert [r[0] for r in timings[1:]] == [r[0] for r in metrics[1:]] == ["0", "1"]
+        assert all(float(r[1]) > 0.0 for r in timings[1:])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["checkpoint.ckpt", "metrics.csv", "timings.csv"]
 
-    def test_deterministic_without_threadpoolctl_warns_and_records(
-            self, dataset_dir, tmp_path, monkeypatch, capsys):
+    def training_runs(self, dataset_dir, out, mu_values):
+        """A plain ``train`` and a plain ``ablate`` run into ``out``."""
+        base = ["--features", str(dataset_dir / "train.feat"), *TRAIN_FLAGS]
+        split = ["--query", str(dataset_dir / "query.feat"),
+                 "--gallery", str(dataset_dir / "gallery.feat")]
+        return {"train": ["train", *base, "--out-dir", str(out / "train")],
+                "ablate": ["ablate", *base, *split, "--out-dir", str(out / "ablate"),
+                           "--mu-values", *mu_values, "--seeds", "0"]}
+
+    def test_without_threadpoolctl_warns_and_records(
+            self, dataset_dir, tmp_path, monkeypatch, caplog):
+        """Where BLAS cannot be pinned, a run warns once, however many
+        cells it trains, and its manifest records false."""
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
         monkeypatch.setattr(parallel, "_numpy_openblas_setter", lambda: None)  # no fallback
-        out = tmp_path / "det_unpinned"
-        rc = main([
-            "train", "--features", str(dataset_dir / "train.feat"),
-            "--out-dir", str(out), "--deterministic", *TRAIN_FLAGS,
-        ])
-        assert rc == 0
-        assert "BLAS threads are not pinned" in capsys.readouterr().err
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["blas_threads_pinned"] is False
-        rc = main([
-            "train", "--features", str(dataset_dir / "train.feat"),
-            "--out-dir", str(tmp_path / "plain"), *TRAIN_FLAGS,
-        ])
-        assert rc == 0
-        assert "not pinned" not in capsys.readouterr().err
-        manifest = json.loads((tmp_path / "plain" / "manifest.json").read_text())
-        assert "blas_threads_pinned" not in manifest
+        for name, argv in self.training_runs(dataset_dir, tmp_path, ["0", "1"]).items():
+            monkeypatch.setattr(parallel, "_pinned", None)
+            caplog.clear()
+            assert main(argv) == 0
+            warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+            assert len(warnings) == 1 and "BLAS threads are not pinned" in warnings[0], name
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["blas_threads_pinned"] is False
 
-    def test_deterministic_without_threadpoolctl_pins_numpy_openblas(
-            self, dataset_dir, tmp_path, monkeypatch, capsys):
+    def test_without_threadpoolctl_pins_numpy_openblas(
+            self, dataset_dir, tmp_path, monkeypatch, caplog):
         """Wherever numpy's bundled OpenBLAS exports its thread setter,
         pinning needs no threadpoolctl: the manifest records true and
         nothing warns."""
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
         found = parallel._numpy_openblas_setter() is not None
-        out = tmp_path / "det_numpy_blas"
-        rc = main([
-            "train", "--features", str(dataset_dir / "train.feat"),
-            "--out-dir", str(out), "--deterministic", *TRAIN_FLAGS,
-        ])
-        assert rc == 0
-        assert ("not pinned" in capsys.readouterr().err) is not found
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["blas_threads_pinned"] is found
+        for name, argv in self.training_runs(dataset_dir, tmp_path, ["0.5"]).items():
+            monkeypatch.setattr(parallel, "_pinned", None)
+            caplog.clear()
+            assert main(argv) == 0
+            assert ("not pinned" in caplog.text) is not found
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["blas_threads_pinned"] is found
 
     def test_config_file_and_flag_precedence(self, dataset_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -525,8 +533,7 @@ class TestExitCodes:
     def test_one_trained_epoch_exits_0(self, probe_dir, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["train", "--features", str(probe_dir / "train.feat"),
-                     "--out-dir", str(out), *PROBE_FLAGS, "--seed", "2",
-                     "--deterministic"]) == 0
+                     "--out-dir", str(out), *PROBE_FLAGS, "--seed", "2"]) == 0
         assert "trained 1 epochs: C=22 " in capsys.readouterr().out
         with open(out / "metrics.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -600,6 +607,31 @@ class TestExitCodes:
         assert sorted(p.name for p in train_out.iterdir()) == ["manifest.json"]
         assert sorted(p.name for p in ablate_out.iterdir()) == ["manifest.json"]
 
+    def test_eval_width_mismatch_exits_2_before_training(
+            self, dataset_dir, tmp_path, capsys, monkeypatch):
+        """8-d training features with a 5-d query and gallery pair: both
+        commands stop before any training, leaving only the manifest."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        other = tmp_path / "other"
+        assert main(["gen-data", "--out-dir", str(other), "--num-identities", "3",
+                     "--instances-per-identity", "4", "--dims", "5"]) == 0
+        capsys.readouterr()
+        split = ["--query", str(other / "query.feat"), "--gallery", str(other / "gallery.feat")]
+        train_out, ablate_out = tmp_path / "t", tmp_path / "a"
+        assert main(["train", "--features", str(dataset_dir / "train.feat"),
+                     "--out-dir", str(train_out), *split, *TRAIN_FLAGS]) == 2
+        assert main(["ablate", "--features", str(dataset_dir / "train.feat"),
+                     "--out-dir", str(ablate_out), *split, "--mu-values", "0.5",
+                     "--seeds", "0", *TRAIN_FLAGS]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --features, --query and --gallery must be equally wide, "
+                       "got [8, 5, 5]"] * 2
+        assert sorted(p.name for p in train_out.iterdir()) == ["manifest.json"]
+        assert sorted(p.name for p in ablate_out.iterdir()) == ["manifest.json"]
+
     @pytest.mark.parametrize("argv", [
         ["gen-data", "--dims", "1000000000"],
         ["train", "--hidden-dims", "100000", "100000"],
@@ -630,7 +662,7 @@ class TestExitCodes:
         bad = EpochReport(epoch=0, num_clusters=1, num_outliers=0, loss="?",
                           loss_cls=0.0, loss_ins=0.0, seconds=0.0)
         with pytest.raises(ValueError):
-            _write_metrics_csv(path, [bad], zero_seconds=True)
+            _write_metrics_csv(path, [bad])
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.csv"]
 

@@ -1,10 +1,11 @@
 """The block driver in ``hybridreid.parallel``: results and artifacts do not
-depend on the worker count, a worker's exception keeps its exit code, no
-array of a call outlives it, no public function runs on a helper thread
-(the harness's tracer keeps one span stack per process), and manifests
-record the worker count."""
+depend on the worker count (nor, for ``train``, on the BLAS thread count),
+a worker's exception keeps its exit code, no array of a call outlives it,
+no public function runs on a helper thread (the harness's tracer keeps one
+span stack per process), and manifests record the worker count."""
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -167,12 +168,50 @@ def test_artifacts_do_not_depend_on_workers(use_workers, small_blocks, data_dir,
         use_workers(n)
         out = tmp_path / f"w{n}"
         assert main(["train", "--features", str(data_dir / "train.feat"),
-                     "--out-dir", str(out / "train"), "--deterministic", *TRAIN_FLAGS]) == 0
+                     "--out-dir", str(out / "train"), *TRAIN_FLAGS]) == 0
         assert main(["cluster", "--features", str(data_dir / "train.feat"),
                      "--out-dir", str(out / "cluster"), "--kreciprocal-k", "6"]) == 0
         artifacts.append([(out / path).read_bytes() for path in (
             "train/checkpoint.ckpt", "train/metrics.csv", "cluster/labels.csv")])
     assert artifacts[1] == artifacts[0] and artifacts[2] == artifacts[0]
+
+
+TRAIN_CHILD = """
+import sys
+from hybridreid import parallel
+parallel.WORKERS = int(sys.argv[1])
+from hybridreid.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_train_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path):
+    """A plain one-epoch ``train``, in fresh processes on 1 and 2 workers
+    and 1 and 2 OpenBLAS threads, writes one set of checkpoint and metrics
+    bytes: ``train()`` pins BLAS before its first GEMM. Without that pin,
+    1 worker on 2 threads writes other checkpoint bits on this input (1200
+    rows, ~200 clusters, batches of 256)."""
+    data = tmp_path / "data"
+    assert main(["gen-data", "--out-dir", str(data), "--num-identities", "200",
+                 "--instances-per-identity", "6", "--dims", "32", "--seed", "101"]) == 0
+    runs = {}
+    for workers in (1, 2):
+        for threads in (1, 2):
+            out = tmp_path / f"w{workers}_t{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            proc = subprocess.run(
+                [sys.executable, "-c", TRAIN_CHILD, str(workers), "train", "--features",
+                 str(data / "train.feat"), "--out-dir", str(out), "--epochs", "1",
+                 "--seed", "101", "--kreciprocal-k", "4", "--dbscan-min-pts", "2"],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs[workers, threads] = [(out / name).read_bytes() for name in (
+                "checkpoint.ckpt", "metrics.csv", "timings.csv")]
+    checkpoints, metrics, timings = zip(*runs.values())
+    assert len(set(checkpoints)) == 1, [hashlib.sha256(b).hexdigest()[:8] for b in checkpoints]
+    assert len(set(metrics)) == 1
+    assert {t.count(b"\n") for t in timings} == {2}  # header + 1 epoch
 
 
 @pytest.mark.parametrize("error, code", [(NumericError("injected"), 4),

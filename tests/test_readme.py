@@ -1,7 +1,8 @@
 """The README's examples: the Python API one executed as written, and the
-Quick start commands parsed by the CLI; the constants it states; and the
-public names it lists."""
+Quick start commands parsed by the CLI; the flags, constants and public
+names it states."""
 
+import argparse
 import ast
 import re
 import shlex
@@ -32,6 +33,21 @@ def test_quick_start_commands_parse():
         argv = shlex.split(line)
         assert argv[0] == "hybridreid"
         assert parser.parse_args(argv[1:]).command == argv[1]
+
+
+def test_every_flag_outside_install_parses():
+    """A flag the README names outside its Install block (whose flags are
+    pip's) is an option of the top-level parser or of some subcommand."""
+    text = README.read_text()
+    install = re.search(r"## Install\n+```sh\n.*?```", text, re.S).group(0)
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text.replace(install, "")))
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = set(parser._option_string_actions)
+    for sub in subparsers.choices.values():
+        known |= set(sub._option_string_actions)
+    assert len(flags) >= 20
+    assert flags <= known, f"README names flags the CLI does not parse: {sorted(flags - known)}"
 
 
 def test_exit_code_table_matches_cli():

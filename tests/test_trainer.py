@@ -24,7 +24,7 @@ from hybridreid import (
     train,
     validate_config,
 )
-from hybridreid import trainer
+from hybridreid import parallel, trainer
 from hybridreid.encoder import ADAM_BETAS, ADAM_EPS
 from hybridreid.trainer import embed_all
 
@@ -301,6 +301,16 @@ class TestDeterminism:
         for x, y in zip(r1, r2):
             assert (x.loss, x.loss_cls, x.loss_ins) == (y.loss, y.loss_cls, y.loss_ins)
             assert (x.num_clusters, x.num_outliers) == (y.num_clusters, y.num_outliers)
+
+    def test_blas_is_pinned_before_the_first_gemm(self, monkeypatch):
+        """A library call pins BLAS itself, before epoch 0's embedding, so
+        its bits do not depend on whatever pinned BLAS before it."""
+        calls = []
+        monkeypatch.setattr(parallel, "pin_blas", lambda: calls.append("pin") or True)
+        monkeypatch.setattr(trainer, "embed_all",
+                            lambda *args, real=embed_all: calls.append("embed") or real(*args))
+        train(train_features(), small_config(epochs=1))
+        assert calls[:2] == ["pin", "embed"]
 
     def test_different_seed_differs(self):
         feats = train_features()
