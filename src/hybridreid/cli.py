@@ -9,6 +9,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -50,7 +51,6 @@ EXIT_COLLAPSE = 5
 
 METRICS_HEADER = ["epoch", "C", "outliers", "loss", "loss_cls", "loss_ins"]
 ABLATE_METRICS = ("mAP", "rank1", "rank5", "rank10")
-ABLATE_HEADER = ["mu", "seed", "trained_epochs", *ABLATE_METRICS]
 
 def _write_csv(path, header, rows):
     with _atomic_open(path, newline="") as fh:
@@ -102,9 +102,9 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed, inputs: dict
 CLUSTER_FIELDS = ("kreciprocal_k", "dbscan_eps", "dbscan_min_pts")
 
 
-def _add_field_flags(sp: argparse.ArgumentParser, cls, names=None):
-    """One flag per field of the dataclass ``cls`` (or per field in
-    ``names``), typed by its default; left out, a flag reads None."""
+def _add_field_flags(sp: argparse.ArgumentParser, cls, names=None, sweep=False):
+    """One flag per field of the dataclass ``cls`` (or per field in ``names``), typed by
+    its default and, with ``sweep``, taking a list; left out, a flag reads None."""
     for field in dataclasses.fields(cls):
         if names is None or field.name in names:
             flag = "--" + field.name.replace("_", "-")
@@ -112,7 +112,7 @@ def _add_field_flags(sp: argparse.ArgumentParser, cls, names=None):
             if kind is tuple:
                 sp.add_argument(flag, type=int, nargs="+")
             else:
-                sp.add_argument(flag, type=kind)
+                sp.add_argument(flag, type=kind, nargs="+" if sweep else None)
 
 
 def _given_fields(args, cls) -> dict:
@@ -121,10 +121,10 @@ def _given_fields(args, cls) -> dict:
             if getattr(args, f.name, None) is not None}
 
 
-def _merge_config(args) -> TrainConfig:
-    """defaults < config file < explicit CLI flags."""
+def _merge_config(args, **fields) -> TrainConfig:
+    """defaults < config file < explicit CLI flags < ``fields``."""
     cfg = TrainConfig() if args.config is None else TrainConfig.from_json(args.config)
-    cfg = TrainConfig.from_dict({**cfg.to_dict(), **_given_fields(args, TrainConfig)})
+    cfg = TrainConfig.from_dict({**cfg.to_dict(), **_given_fields(args, TrainConfig), **fields})
     validate_config(cfg)
     return cfg
 
@@ -238,7 +238,7 @@ def cmd_evaluate(args) -> int:
         per_query_path = out_dir / "per_query.csv"
         outputs = [metrics_path, per_query_path] if args.per_query else [metrics_path]
         write_manifest(out_dir, "evaluate", {"junk_filter": not args.no_junk_filter},
-                       None, inputs, outputs, {"workers": parallel.workers()})
+                       None, inputs, outputs)
     model = None
     if args.checkpoint:
         model, _, _ = load_checkpoint(args.checkpoint)
@@ -256,39 +256,45 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _text(value) -> str:
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
+
+
 def cmd_ablate(args) -> int:
-    cfg = _merge_config(args)
-    for flag, values in (("--mu-values", args.mu_values), ("--seeds", args.seeds)):
+    grid = _given_fields(args, TrainConfig)  # one axis per given flag,
+    grid.pop("hidden_dims", None)  # but --hidden-dims is one tuple value
+    for name, values in grid.items():
         if len(set(values)) < len(values):
-            raise ConfigError(f"{flag} repeats a value: {' '.join(map(str, values))}")
-    cells = [dataclasses.replace(cfg, mu=mu, seed=seed)
-             for mu in args.mu_values for seed in args.seeds]
-    for cell in cells:
-        validate_config(cell)
-    out_dir = Path(args.out_dir)
-    summary_path = out_dir / "summary.csv"
-    manifest_cfg = dict(cfg.to_dict(), mu_values=list(args.mu_values),
-                        seeds=list(args.seeds))
-    write_manifest(out_dir, "ablate", manifest_cfg, cfg.seed,
-                   inputs={"features": args.features, "query": args.query,
-                           "gallery": args.gallery},
-                   outputs=[summary_path], extra={"workers": parallel.workers(),
-                                                  "blas_threads_pinned": parallel.pin_blas()})
+            raise ConfigError(f"--{name.replace('_', '-')} repeats a value: {values}")
+    cells = [_merge_config(args, **dict(zip(grid, values)))
+             for values in itertools.product(*grid.values())]
+    swept = [name for name, values in grid.items() if len(values) > 1]
+    summary_path = Path(args.out_dir) / "summary.csv"
+    # the manifest's config holds only the values that every cell shares
+    shared = {k: v for k, v in cells[0].to_dict().items() if k not in swept}
+    write_manifest(summary_path.parent, "ablate", shared, grid.get("seed", [cells[0].seed]),
+                   {"features": args.features, "query": args.query, "gallery": args.gallery},
+                   [summary_path], {"grid": grid, "workers": parallel.workers(),
+                                    "blas_threads_pinned": parallel.pin_blas()})
     features, query, gallery = _load_inputs(args)
-    results = []
+    # a later cell must not break the N-bound after the earlier ones trained
+    for cell in cells:
+        validate_config(cell, num_samples=features.features.shape[0])
+    rows, groups = [], {}
     for cell in cells:
         model, _, reports = train(features.features, cell)
-        results.append((_evaluate_sets(query, gallery, model=model).metrics(), len(reports)))
-    _write_csv(summary_path, ABLATE_HEADER, (
-        [f"{cell.mu:.10g}", cell.seed, epochs,
-         *(f"{metrics[k]:.10g}" for k in ABLATE_METRICS)]
-        for cell, (metrics, epochs) in zip(cells, results)
-    ))
-    for mu in args.mu_values:
-        runs = [r for cell, r in zip(cells, results) if cell.mu == mu]
-        short = sum(epochs < cfg.epochs for _, epochs in runs)
-        print(f"mu={mu:g}: mean mAP={np.mean([m['mAP'] for m, _ in runs]):.4f} "
-              f"over {len(runs)} seeds, {short} trained fewer than {cfg.epochs} epochs")
+        metrics = _evaluate_sets(query, gallery, model=model).metrics()
+        rows.append([*(_text(getattr(cell, name)) for name in grid), len(reports),
+                     *(f"{metrics[k]:.10g}" for k in ABLATE_METRICS)])
+        # the cells of one group differ only in seed
+        label = " ".join(f"{n}={_text(getattr(cell, n))}" for n in swept if n != "seed")
+        groups.setdefault((label, cell.epochs), []).append((metrics["mAP"], len(reports)))
+    _write_csv(summary_path, [*grid, "trained_epochs", *ABLATE_METRICS], rows)
+    for (label, epochs), runs in groups.items():
+        maps, trained = zip(*runs)
+        short = sum(n < epochs for n in trained)
+        print(f"{label + ': ' if label else ''}mean mAP={np.mean(maps):.4f} over "
+              f"{len(runs)} seeds, {short} trained fewer than {epochs} epochs")
     return EXIT_OK
 
 
@@ -336,15 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="keep same-identity same-camera gallery items")
     sp.set_defaults(func=cmd_evaluate)
 
-    sp = sub.add_parser("ablate", help="sweep mu over seeds and summarize")
+    sp = sub.add_parser("ablate", help="train every combination of the given values")
     sp.add_argument("--features", required=True)
     sp.add_argument("--query", required=True)
     sp.add_argument("--gallery", required=True)
     sp.add_argument("--out-dir", required=True)
-    sp.add_argument("--mu-values", type=float, nargs="+", required=True)
-    sp.add_argument("--seeds", type=int, nargs="+", required=True)
     sp.add_argument("--config", help="JSON file with training config fields")
-    _add_field_flags(sp, TrainConfig)
+    _add_field_flags(sp, TrainConfig, sweep=True)
     sp.set_defaults(func=cmd_ablate)
     return parser
 

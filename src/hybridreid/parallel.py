@@ -55,22 +55,18 @@ def _numpy_openblas_setter():
     return None
 
 
-def _blas_setter():
-    """A function that sets BLAS's thread count process-wide: through
-    threadpoolctl, or else numpy's own OpenBLAS; None where neither is found."""
+def pin_blas() -> bool:
+    """Pin BLAS to one thread, process-wide (a GEMM's summation split may
+    depend on the thread count), through threadpoolctl or else numpy's own
+    OpenBLAS; records in ``_pinned`` whether it could. Where it cannot, it
+    logs one WARNING, unless the call before failed too."""
+    global _pinned
     try:
         import threadpoolctl
     except ImportError:
-        return _numpy_openblas_setter()
-    return lambda n: threadpoolctl.threadpool_limits(limits=n)
-
-
-def pin_blas() -> bool:
-    """Pin BLAS to one thread, process-wide (a GEMM's summation split may
-    depend on the thread count); records in ``_pinned`` whether it could.
-    Where it cannot, it logs one WARNING, unless the call before failed too."""
-    global _pinned
-    setter = _blas_setter()
+        setter = _numpy_openblas_setter()
+    else:
+        setter = threadpoolctl.threadpool_limits  # its first parameter is ``limits``
     if setter is not None:
         setter(1)
     elif _pinned is not False:
@@ -82,8 +78,10 @@ def pin_blas() -> bool:
 
 def workers() -> int:
     """The workers a block loop runs on: WORKERS, or 1 where BLAS cannot be
-    pinned to one thread."""
-    return WORKERS if WORKERS == 1 or _blas_setter() is not None else 1
+    pinned to one thread; on more than one, it pins BLAS if nothing has yet."""
+    if _pinned is None and WORKERS > 1:
+        pin_blas()
+    return WORKERS if WORKERS == 1 or _pinned else 1
 
 
 class _Job:
@@ -128,9 +126,7 @@ def run_blocks(starts, fn, scratch=None):
     ``scratch``). Every call must write only its own slices of the outputs.
     If a call raises, no block starts after it, and its exception is
     re-raised once every worker has stopped."""
-    if _pinned is None and WORKERS > 1:
-        pin_blas()
-    n = min(WORKERS if _pinned else 1, len(starts))
+    n = min(workers(), len(starts))
     if n <= 1:
         buffer = None if scratch is None else scratch()
         for start in starts:

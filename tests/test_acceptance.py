@@ -311,8 +311,8 @@ def mu_sweep(data_dir, out, mu_values):
         "--query", str(data_dir / "query.feat"),
         "--gallery", str(data_dir / "gallery.feat"),
         "--out-dir", str(out),
-        "--mu-values", *mu_values,
-        "--seeds", "0", "1", "2", "3", "4",
+        "--mu", *mu_values,
+        "--seed", "0", "1", "2", "3", "4",
         "--epochs", "20",
         "--num-identities-per-batch", "8",
         "--instances-per-identity", "8",

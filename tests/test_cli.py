@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from hybridreid import SynthSpec, l2_normalize, load_checkpoint, load_features, pseudo_label
+from hybridreid import (SynthSpec, TrainConfig, l2_normalize, load_checkpoint, load_features,
+                        pseudo_label)
 from hybridreid import cli, parallel
 from hybridreid.cli import _write_metrics_csv, main
 from hybridreid.trainer import EpochReport
@@ -51,6 +52,20 @@ TRAIN_FLAGS = [
     "--slots-per-cluster", "4",
     "--kreciprocal-k", "7",
 ]
+
+
+# two valid, distinct values of each scalar TrainConfig field, as given on
+# the command line; on the 200-sample probe set every cell passes the
+# bounds that depend on the set's size
+SWEEP_VALUES = {
+    "mu": ("0.25", "0.75"), "tau_c": ("0.05", "0.1"), "tau_ins": ("0.05", "0.1"),
+    "alpha": ("0.1", "0.3"), "num_identities_per_batch": ("8", "16"),
+    "instances_per_identity": ("4", "8"), "slots_per_cluster": ("4", "8"),
+    "epochs": ("1", "3"), "lr": ("0.001", "0.0001"), "weight_decay": ("0", "0.001"),
+    "lr_decay_every": ("5", "10"), "lr_decay_factor": ("0.5", "1"),
+    "dbscan_eps": ("0.3", "0.6"), "dbscan_min_pts": ("3", "5"),
+    "kreciprocal_k": ("10", "20"), "seed": ("1", "2"),
+}
 
 
 class TestGenData:
@@ -193,7 +208,7 @@ class TestTrain:
                  "--gallery", str(dataset_dir / "gallery.feat")]
         return {"train": ["train", *base, "--out-dir", str(out / "train")],
                 "ablate": ["ablate", *base, *split, "--out-dir", str(out / "ablate"),
-                           "--mu-values", *mu_values, "--seeds", "0"]}
+                           "--mu", *mu_values, "--seed", "0"]}
 
     def test_without_threadpoolctl_warns_and_records(
             self, dataset_dir, tmp_path, monkeypatch, caplog):
@@ -525,8 +540,8 @@ class TestExitCodes:
         assert main(["ablate", "--features", str(dataset_dir / "train.feat"),
                      "--query", str(dataset_dir / "query.feat"),
                      "--gallery", str(dataset_dir / "gallery.feat"),
-                     "--out-dir", str(ablate_out), "--mu-values", "0.5",
-                     "--seeds", "0", *flags]) == 5
+                     "--out-dir", str(ablate_out), "--mu", "0.5",
+                     "--seed", "0", *flags]) == 5
         assert sorted(p.name for p in ablate_out.iterdir()) == ["manifest.json"]
         capsys.readouterr()
 
@@ -542,10 +557,10 @@ class TestExitCodes:
         assert epoch == 1
 
     @pytest.mark.parametrize("grid", [
-        ["--mu-values", "0.5", "2.0", "--seeds", "0"],
-        ["--mu-values", "0.5", "--seeds", "0", "-1"],
-        ["--mu-values", "0.5", "0.5", "--seeds", "0", "1"],
-        ["--mu-values", "0.5", "--seeds", "1", "1"],
+        ["--mu", "0.5", "2.0", "--seed", "0"],
+        ["--mu", "0.5", "--seed", "0", "-1"],
+        ["--mu", "0.5", "0.5", "--seed", "0", "1"],
+        ["--mu", "0.5", "--seed", "1", "1"],
     ], ids=["mu", "seed", "repeated-mu", "repeated-seed"])
     def test_ablate_mu_out_of_range_exits_2(self, dataset_dir, tmp_path,
                                             capsys, monkeypatch, grid):
@@ -564,6 +579,28 @@ class TestExitCodes:
         assert not out.exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("sweep", [
+        ["--num-identities-per-batch", "2", "--kreciprocal-k", "6", "100000"],
+        ["--num-identities-per-batch", "2", "14", "--kreciprocal-k", "7"],
+    ], ids=["kreciprocal_k", "num_identities_per_batch"])
+    def test_ablate_checks_every_cell_against_n_before_training(
+            self, dataset_dir, tmp_path, capsys, monkeypatch, sweep):
+        """The first cell is valid on the 32-sample set and a later one is
+        not (k below 32, at most 13 clusters): no cell trains."""
+        def no_training(*args, **kwargs):
+            raise AssertionError("a cell started training")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        out = tmp_path / "o"
+        assert main(["ablate", "--features", str(dataset_dir / "train.feat"),
+                     "--query", str(dataset_dir / "query.feat"),
+                     "--gallery", str(dataset_dir / "gallery.feat"),
+                     "--out-dir", str(out), "--epochs", "1", "--instances-per-identity",
+                     "4", "--slots-per-cluster", "4", *sweep]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
     def test_batch_beyond_cluster_bound_exits_2_before_training(
             self, dataset_dir, tmp_path, capsys):
         # 32 samples form at most 13 clusters at dbscan_min_pts=4, against
@@ -575,8 +612,8 @@ class TestExitCodes:
         assert main(["ablate", "--features", str(dataset_dir / "train.feat"),
                      "--query", str(dataset_dir / "query.feat"),
                      "--gallery", str(dataset_dir / "gallery.feat"),
-                     "--out-dir", str(ablate_out), "--mu-values", "0.5",
-                     "--seeds", "0", "--epochs", "1", "--kreciprocal-k", "5"]) == 2
+                     "--out-dir", str(ablate_out), "--mu", "0.5",
+                     "--seed", "0", "--epochs", "1", "--kreciprocal-k", "5"]) == 2
         assert "num_identities_per_batch must be <= 13" in capsys.readouterr().err
         assert sorted(p.name for p in train_out.iterdir()) == ["manifest.json"]
         assert sorted(p.name for p in ablate_out.iterdir()) == ["manifest.json"]
@@ -600,8 +637,8 @@ class TestExitCodes:
         assert main(["ablate", "--features", str(dataset_dir / "train.feat"),
                      "--query", str(dataset_dir / "query.feat"),
                      "--gallery", str(dataset_dir / "gallery.feat"),
-                     "--out-dir", str(ablate_out), "--mu-values", "0.5",
-                     "--seeds", "0", *flags]) == 2
+                     "--out-dir", str(ablate_out), "--mu", "0.5",
+                     "--seed", "0", *flags]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: instances_per_identity must be <= 32 samples, got 33"] * 2
         assert sorted(p.name for p in train_out.iterdir()) == ["manifest.json"]
@@ -624,8 +661,8 @@ class TestExitCodes:
         assert main(["train", "--features", str(dataset_dir / "train.feat"),
                      "--out-dir", str(train_out), *split, *TRAIN_FLAGS]) == 2
         assert main(["ablate", "--features", str(dataset_dir / "train.feat"),
-                     "--out-dir", str(ablate_out), *split, "--mu-values", "0.5",
-                     "--seeds", "0", *TRAIN_FLAGS]) == 2
+                     "--out-dir", str(ablate_out), *split, "--mu", "0.5",
+                     "--seed", "0", *TRAIN_FLAGS]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: --features, --query and --gallery must be equally wide, "
                        "got [8, 5, 5]"] * 2
@@ -674,7 +711,7 @@ class TestAblate:
             "--query", str(dataset_dir / "query.feat"),
             "--gallery", str(dataset_dir / "gallery.feat"),
             "--out-dir", str(out),
-            "--mu-values", "0", "1", "--seeds", "0", "1",
+            "--mu", "0", "1", "--seed", "0", "1",
             *TRAIN_FLAGS,
         ]
 
@@ -691,21 +728,95 @@ class TestAblate:
         stdout = capsys.readouterr().out
         with open(out / "summary.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["mu", "seed", "trained_epochs", "mAP", "rank1", "rank5",
-                           "rank10"]
-        grid = [(r[0], r[1]) for r in rows[1:]]
+        # one column per given flag, in TrainConfig field order
+        assert rows[0] == ["mu", "num_identities_per_batch", "instances_per_identity",
+                           "slots_per_cluster", "epochs", "kreciprocal_k", "seed",
+                           "trained_epochs", "mAP", "rank1", "rank5", "rank10"]
+        grid = [(r[0], r[6]) for r in rows[1:]]
         assert grid == [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
         for r in rows[1:]:
-            assert r[2] == "2"
-            assert 0.0 <= float(r[3]) <= 1.0
+            assert r[1:6] == ["2", "4", "4", "2", "7"]
+            assert r[7] == "2"
+            assert 0.0 <= float(r[8]) <= 1.0
         assert stdout.count("over 2 seeds, 0 trained fewer than 2 epochs") == 2
+        assert [line.split(":")[0] for line in stdout.splitlines()] == ["mu=0", "mu=1"]
+
+    @pytest.fixture
+    def trained(self, monkeypatch):
+        """Stubs training and evaluation; the list of configs ``train`` got."""
+        configs = []
+
+        def fake_train(features, cfg):
+            configs.append(cfg)
+            return None, None, [None] * cfg.epochs
+
+        class FakeResult:
+            def metrics(self):
+                return dict.fromkeys(cli.ABLATE_METRICS, 0.5)
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        monkeypatch.setattr(cli, "_evaluate_sets", lambda *args, **kwargs: FakeResult())
+        return configs
+
+    def run_stubbed(self, probe_dir, out, *flags):
+        """``ablate`` on the 200-sample probe set, where the default config
+        passes every bound; its manifest and summary rows."""
+        assert main(["ablate", "--features", str(probe_dir / "train.feat"),
+                     "--query", str(probe_dir / "query.feat"),
+                     "--gallery", str(probe_dir / "gallery.feat"),
+                     "--out-dir", str(out), *flags]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            return json.loads((out / "manifest.json").read_text()), list(csv.DictReader(fh))
+
+    @pytest.mark.parametrize("flags,file,fields,columns", [
+        (["--mu", "0.9", "--seed", "7"], None, {"mu": 0.9, "seed": 7},
+         {"mu": "0.9", "seed": "7"}),
+        ([], {"mu": 0.1, "seed": 9}, {"mu": 0.1, "seed": 9}, {}),
+        (["--seed", "4"], {"mu": 0.1, "seed": 9, "epochs": 3},
+         {"mu": 0.1, "seed": 4, "epochs": 3}, {"seed": "4"}),
+    ], ids=["flags", "config", "flag-over-config"])
+    def test_no_setting_is_ignored(self, probe_dir, tmp_path, capsys, trained,
+                                   flags, file, fields, columns):
+        """defaults < --config < flags: the one cell trains exactly the
+        given values, and the manifest and summary state them."""
+        if file is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(file))
+            flags = [*flags, "--config", str(tmp_path / "cfg.json")]
+        manifest, rows = self.run_stubbed(probe_dir, tmp_path / "ab", *flags)
+        capsys.readouterr()
+        cell = dataclasses.replace(TrainConfig(), **fields)
+        assert trained == [cell]
+        assert manifest["config"] == json.loads(json.dumps(cell.to_dict()))
+        assert manifest["seed"] == [cell.seed]
+        assert manifest["grid"] == {name: [fields[name]] for name in columns}
+        assert rows == [{**columns, "trained_epochs": str(cell.epochs),
+                         **dict.fromkeys(cli.ABLATE_METRICS, "0.5")}]
+
+    @pytest.mark.parametrize("name", [
+        f.name for f in dataclasses.fields(TrainConfig) if not isinstance(f.default, tuple)])
+    def test_every_field_flag_sweeps(self, probe_dir, tmp_path, capsys, trained, name):
+        """Two values of any scalar field's flag train two cells that differ
+        from the defaults in that field alone."""
+        given = SWEEP_VALUES[name]
+        kind = type(getattr(TrainConfig(), name))
+        values = [kind(v) for v in given]
+        manifest, rows = self.run_stubbed(probe_dir, tmp_path / "ab",
+                                          "--" + name.replace("_", "-"), *given)
+        lines = capsys.readouterr().out.splitlines()
+        assert trained == [dataclasses.replace(TrainConfig(), **{name: v}) for v in values]
+        assert manifest["grid"] == {name: values}
+        assert name not in manifest["config"]
+        assert manifest["seed"] == (values if name == "seed" else [0])
+        assert [r[name] for r in rows] == [str(v) for v in given]
+        assert list(rows[0]) == [name, "trained_epochs", *cli.ABLATE_METRICS]
+        assert len(lines) == (1 if name == "seed" else 2)
 
     def test_cell_that_stopped_early_is_counted(self, probe_dir, tmp_path, capsys):
         out = tmp_path / "ab"
         assert main(["ablate", "--features", str(probe_dir / "train.feat"),
                      "--query", str(probe_dir / "query.feat"),
                      "--gallery", str(probe_dir / "gallery.feat"),
-                     "--out-dir", str(out), "--mu-values", "0.5", "--seeds", "2",
+                     "--out-dir", str(out), "--mu", "0.5", "--seed", "2",
                      *PROBE_FLAGS]) == 0
         assert "over 1 seeds, 1 trained fewer than 10 epochs" in capsys.readouterr().out
         with open(out / "summary.csv", newline="") as fh:

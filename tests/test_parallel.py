@@ -306,9 +306,8 @@ def test_manifests_record_the_worker_count(use_workers, data_dir, tmp_path, monk
     commands = {
         "train": ["train", "--features", feats, *TRAIN_FLAGS],
         "cluster": ["cluster", "--features", feats],
-        "evaluate": ["evaluate", *split],
-        "ablate": ["ablate", "--features", feats, *split, "--mu-values", "0.5",
-                   "--seeds", "3", *TRAIN_FLAGS[:-2]],
+        "ablate": ["ablate", "--features", feats, *split, "--mu", "0.5",
+                   "--seed", "3", *TRAIN_FLAGS[:-2]],
     }
 
     def recorded(tag):
@@ -330,3 +329,7 @@ def test_manifests_record_the_worker_count(use_workers, data_dir, tmp_path, monk
     monkeypatch.setattr(parallel, "_numpy_openblas_setter", lambda: None)
     assert parallel.workers() == 1
     assert set(recorded("unpinned").values()) == {1}
+    # evaluation runs no block loop, so its manifest records no worker count
+    out = tmp_path / "evaluate"
+    assert main(["evaluate", *split, "--out-dir", str(out)]) == 0
+    assert "workers" not in json.loads((out / "manifest.json").read_text())
